@@ -3,135 +3,32 @@
 The package reduces noisy quadrature detectors (efficiency eta_d, thermal
 noise nbar) to noiseless detectors of reduced efficiency eta_e whose
 outcomes are rescaled by r, and provides the verification and key-rate
-tooling built on that reduction.
+tooling built on that reduction.  The names below are the ones the CLI
+and the README example use; everything else is reached through its
+module.
 """
 
-from .channel import (
-    IDEAL,
-    SCENARIOS,
-    TRUSTED,
-    UNTRUSTED,
-    ChannelSpec,
-    ScenarioParams,
-    scenario_params,
-    transmit,
-)
-from .detectors import (
-    HETERODYNE,
-    HOMODYNE,
-    KINDS,
-    DetectorSpec,
-    OutcomeDensity,
-    ideal_heterodyne_density,
-    ideal_homodyne_density,
-    noisy_measurement_density,
-    rescaled_lossy_density,
-    sample_outcomes,
-)
-from .equivalence import (
-    EquivalenceReport,
-    OracleTable,
-    SweepConfig,
-    analytic_sweep,
-    mixture_quadrature_oracle,
-    channel_moment_oracle,
-    default_sweep_config,
-    monte_carlo_sweep,
-    reduced_mc_config,
-)
-from .gaussian import (
-    VACUUM_VARIANCE,
-    GaussianState,
-    SymplecticOp,
-    apply_symplectic,
-    beam_splitter,
-    coherent_state,
-    loss_channel,
-    partial_trace,
-    random_displacement,
-    symplectic_form,
-    tensor,
-    thermal_loss_channel,
-    thermal_state,
-    vacuum_state,
-)
-from .keyrate import (
-    RATE_FUNCTIONS,
-    RateParams,
-    ScanConfig,
-    ScanTable,
-    get_rate_function,
-    reference_rate,
-    run_scan,
-)
-from .rescaling import (
-    DetectorAdjustment,
-    HarmonizationResult,
-    NoiseFigure,
-    RescalePlan,
-    harmonize,
-    noise_figure_from_vacuum_variance,
-    rescale_plan,
-    rescale_plan_limit,
-)
+from .channel import ChannelSpec, scenario_params
+from .detectors import DetectorSpec
+from .equivalence import SweepConfig, analytic_sweep, default_sweep_config, monte_carlo_sweep
+from .keyrate import RateParams, ScanConfig, reference_rate, run_scan
+from .rescaling import noise_figure_from_vacuum_variance, rescale_plan, rescale_plan_limit
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChannelSpec",
-    "DetectorAdjustment",
     "DetectorSpec",
-    "EquivalenceReport",
-    "GaussianState",
-    "HarmonizationResult",
-    "HETERODYNE",
-    "HOMODYNE",
-    "IDEAL",
-    "KINDS",
-    "NoiseFigure",
-    "OracleTable",
-    "OutcomeDensity",
-    "RATE_FUNCTIONS",
     "RateParams",
-    "RescalePlan",
     "ScanConfig",
-    "ScanTable",
-    "ScenarioParams",
-    "SCENARIOS",
     "SweepConfig",
-    "SymplecticOp",
-    "TRUSTED",
-    "UNTRUSTED",
-    "VACUUM_VARIANCE",
     "analytic_sweep",
-    "mixture_quadrature_oracle",
-    "apply_symplectic",
-    "beam_splitter",
-    "channel_moment_oracle",
-    "coherent_state",
     "default_sweep_config",
-    "get_rate_function",
-    "harmonize",
-    "ideal_heterodyne_density",
-    "ideal_homodyne_density",
-    "loss_channel",
     "monte_carlo_sweep",
     "noise_figure_from_vacuum_variance",
-    "noisy_measurement_density",
-    "partial_trace",
-    "random_displacement",
-    "reduced_mc_config",
     "reference_rate",
     "rescale_plan",
     "rescale_plan_limit",
-    "rescaled_lossy_density",
     "run_scan",
-    "sample_outcomes",
     "scenario_params",
-    "symplectic_form",
-    "tensor",
-    "thermal_loss_channel",
-    "thermal_state",
-    "transmit",
-    "vacuum_state",
 ]

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .detectors import DetectorSpec
 from .gaussian import GaussianState, loss_channel, random_displacement
 from .rescaling import rescale_plan
@@ -31,18 +33,23 @@ class ChannelSpec:
     """A lossy fiber with excess noise.
 
     Attributes:
-        eta: Transmittance, 0 < eta <= 1.
+        eta: Transmittance, 0 < eta <= 1: a float, or an array of
+            transmittances that scenario_params evaluates in one call.
         xi0: Input-referred excess noise, xi0 >= 0; the displacement stage
             contributes eta * xi0 at the channel output.
     """
 
-    eta: float
+    eta: float | np.ndarray
     xi0: float = 0.0
 
     def __post_init__(self) -> None:
-        eta = float(self.eta)
+        if np.ndim(self.eta) == 0:
+            eta = float(self.eta)
+        else:
+            eta = np.array(self.eta, dtype=float)
+            eta.setflags(write=False)
         xi0 = float(self.xi0)
-        if not 0.0 < eta <= 1.0:
+        if not np.all((0.0 < eta) & (eta <= 1.0)):
             raise ValueError("channel transmittance must satisfy 0 < eta <= 1")
         if not math.isfinite(xi0) or xi0 < 0:
             raise ValueError("xi0 must be a finite non-negative number")
@@ -50,39 +57,21 @@ class ChannelSpec:
         object.__setattr__(self, "xi0", xi0)
 
 
-@dataclass(frozen=True)
-class ScenarioParams:
-    """Effective channel parameters under one detector-accounting scenario.
-
-    Attributes:
-        scenario: "ideal", "trusted" or "untrusted".
-        t_eff: Effective transmittance fed to the rate evaluator.
-        xi_eff: Effective excess noise in additive outcome-variance units.
-    """
-
-    scenario: str
-    t_eff: float
-    xi_eff: float
-
-    def to_json_dict(self) -> dict:
-        return {"scenario": self.scenario, "t_eff": self.t_eff, "xi_eff": self.xi_eff}
-
-
-def transmit(state: GaussianState, channel: ChannelSpec, mode: int = 0) -> GaussianState:
-    """Send one mode of a state through the channel.
+def transmit(state: GaussianState, channel: ChannelSpec) -> GaussianState:
+    """Send a state through the channel.
 
     Pure loss of transmittance eta acts first, then the random
     displacement with output-referred variance parameter eta * xi0.
     """
-    lossy = loss_channel(state, channel.eta, mode=mode)
-    return random_displacement(lossy, channel.eta * channel.xi0, mode=mode)
+    lossy = loss_channel(state, channel.eta)
+    return random_displacement(lossy, channel.eta * channel.xi0)
 
 
 def scenario_params(
     channel: ChannelSpec,
     spec: DetectorSpec | None = None,
     scenario: str = IDEAL,
-) -> ScenarioParams:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Fold channel and detector into effective rate-evaluator parameters.
 
     ideal: the detector is perfect, (t, xi) = (eta, eta xi0).
@@ -95,22 +84,25 @@ def scenario_params(
     (t, xi) = (eta eta_d, eta eta_d xi0 + 2 nbar (1 - eta_d)).
 
     Args:
-        channel: The transmission line.
+        channel: The transmission line; an array-valued eta gives arrays
+            of the same shape, element for element equal to scalar calls.
         spec: The detector; required for the trusted and untrusted
             scenarios.
         scenario: One of "ideal", "trusted", "untrusted".
+
+    Returns:
+        (t_eff, xi_eff): effective transmittance and effective excess
+        noise in additive outcome-variance units.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if scenario == IDEAL:
         t_eff = channel.eta
-        xi_eff = t_eff * channel.xi0
-    elif spec is None:
+        return t_eff, t_eff * channel.xi0
+    if spec is None:
         raise ValueError(f"the {scenario} scenario requires a detector spec")
-    elif scenario == TRUSTED:
+    if scenario == TRUSTED:
         t_eff = channel.eta * rescale_plan(spec).eta_e
-        xi_eff = t_eff * channel.xi0
-    else:
-        t_eff = channel.eta * spec.eta_d
-        xi_eff = t_eff * channel.xi0 + 2.0 * spec.noise_product
-    return ScenarioParams(scenario=scenario, t_eff=t_eff, xi_eff=xi_eff)
+        return t_eff, t_eff * channel.xi0
+    t_eff = channel.eta * spec.eta_d
+    return t_eff, t_eff * channel.xi0 + 2.0 * spec.noise_product

@@ -308,11 +308,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         else:
             raise ValueError("samples file must have one or two columns")
     try:
-        figure = noise_figure_from_vacuum_variance(variance, args.kind)
+        nu = noise_figure_from_vacuum_variance(variance, args.kind)
     except ValueError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return 1
-    payload = {"kind": args.kind, "variance": variance, "nu": figure.nu}
+    payload = {"kind": args.kind, "variance": variance, "nu": nu}
     text = _json_text(payload)
     if args.out is not None:
         _write_atomic(_resolve_out(args.out), text)

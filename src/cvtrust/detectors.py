@@ -187,18 +187,12 @@ class OutcomeDensity:
         return OutcomeDensity(factor * self.mean, (factor * factor) * self.cov)
 
 
-def _require_single_mode(state: GaussianState, what: str) -> None:
-    if state.n_modes != 1:
-        raise ValueError(f"{what} requires a single-mode state, got {state.n_modes} modes")
-
-
 def ideal_homodyne_density(state: GaussianState) -> OutcomeDensity:
     """Outcome density of ideal x-quadrature homodyne detection.
 
     For a Gaussian state this is the normal density with the state's
     x mean and x variance.
     """
-    _require_single_mode(state, "ideal_homodyne_density")
     return OutcomeDensity(state.mean[:1], state.cov[:1, :1])
 
 
@@ -209,7 +203,6 @@ def ideal_heterodyne_density(state: GaussianState) -> OutcomeDensity:
     cov + I/4; one vacuum unit enters through the simultaneous measurement
     of both quadratures.
     """
-    _require_single_mode(state, "ideal_heterodyne_density")
     return OutcomeDensity(state.mean, state.cov + VACUUM_VARIANCE * np.eye(2))
 
 
@@ -229,7 +222,6 @@ def noisy_measurement_density(state: GaussianState, spec: DetectorSpec) -> Outco
     output port is discarded, and an ideal measurement of spec.kind is
     performed on what remains.
     """
-    _require_single_mode(state, "noisy_measurement_density")
     mixed = thermal_loss_channel(state, spec.eta_d, spec.nbar)
     return _ideal_density(mixed, spec.kind)
 
@@ -245,12 +237,11 @@ def rescaled_lossy_density(
     pushforward of the ideal post-loss density under that rescale.
 
     Args:
-        state: Single-mode input state.
+        state: Input state.
         kind: "homodyne" or "heterodyne".
         eta_e: Transmittance of the loss stage, 0 < eta_e <= 1.
         r: Outcome rescale factor, r >= 1.
     """
-    _require_single_mode(state, "rescaled_lossy_density")
     r = float(r)
     if not math.isfinite(r) or r < 1.0:
         raise ValueError("rescale factor must satisfy r >= 1")

@@ -9,11 +9,12 @@ are indistinguishable on coherent inputs:
 * Monte Carlo sweeps draw outcomes from both models and apply two-sample
   Kolmogorov-Smirnov tests with a Holm correction across the grid.
 
-An independent numeric oracle is included: it integrates the thermal
-mixture of coherent-state outcome densities by 2-d quadrature, sharing no
-covariance arithmetic with the Gaussian engine, and is used to validate
-the closed-form densities.  Deliberate sabotage modes de-tune the rescale
-step so the machinery's ability to catch a wrong reduction can be tested.
+Independent oracles are included.  Two integrate Gaussian mixtures of
+coherent states by 2-d quadrature, sharing no covariance arithmetic with
+the Gaussian engine, and validate the closed-form densities and channel
+moments; a third dilates the thermal-loss channel into a two-mode beam
+splitter.  Deliberate sabotage modes de-tune the rescale step so the
+machinery's ability to catch a wrong reduction can be tested.
 """
 
 from __future__ import annotations
@@ -703,3 +704,30 @@ def channel_moment_oracle(
         ]
     )
     return {"mean": mean, "variance": second - mean * mean}
+
+
+def beam_splitter_dilation_oracle(
+    alpha: complex, eta: float, nbar: float
+) -> dict[str, np.ndarray]:
+    """Thermal-loss output moments by beam-splitter dilation.
+
+    The coherent state alpha and a thermal state of mean photon number
+    nbar enter the two ports of a beam splitter of transmittance eta; the
+    4x4 symplectic matrix acts on the joint (x_1, p_1, x_2, p_2) moments
+    and the environment port is discarded.  This is the physical picture
+    behind the closed-form thermal_loss_channel, built without it.
+
+    Returns:
+        {"mean": array (x, p), "cov": 2 x 2 array} of the kept mode.
+    """
+    eta, nbar = float(eta), float(nbar)
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("beam splitter transmittance must satisfy 0 < eta <= 1")
+    if not math.isfinite(nbar) or nbar < 0:
+        raise ValueError("nbar must be a finite non-negative number")
+    c, s = math.sqrt(eta), math.sqrt(1.0 - eta)
+    mix = np.array([[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
+    alpha = complex(alpha)
+    mean = mix @ np.array([alpha.real, alpha.imag, 0.0, 0.0])
+    cov = mix @ np.diag([0.25, 0.25, (2 * nbar + 1) / 4, (2 * nbar + 1) / 4]) @ mix.T
+    return {"mean": mean[:2], "cov": cov[:2, :2]}

@@ -1,11 +1,11 @@
-"""Multi-mode Gaussian states and the Gaussian maps built on them.
+"""Single-mode Gaussian states and the Gaussian maps built on them.
 
 Conventions
 -----------
 Quadratures are x = (a + a^dag)/2 and p = -i(a - a^dag)/2, so the vacuum
 state has variance 1/4 in each quadrature and a coherent state |alpha>
 has mean (Re alpha, Im alpha).  Mean vectors and covariance matrices are
-ordered (x_1, p_1, ..., x_n, p_n).
+ordered (x, p).
 
 All operations return new states; states themselves are immutable.
 """
@@ -14,26 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 VACUUM_VARIANCE = 0.25
 
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form Omega for the (x, p) interleaved ordering.
-
-    Omega is block diagonal with [[0, 1], [-1, 0]] per mode, so that the
-    canonical commutation relations read [q_i, q_j] = (i/2) Omega_{ij}.
-    """
-    if n_modes < 1:
-        raise ValueError("n_modes must be a positive integer")
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    return omega
+# The symplectic form [[0, 1], [-1, 0]]: [x, p] = (i/2) Omega_{xp}.
+_OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -44,12 +31,11 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """First and second moments of an n-mode Gaussian state.
+    """First and second moments of a single-mode Gaussian state.
 
     Attributes:
-        mean: Quadrature mean vector of length 2n, ordered
-            (x_1, p_1, ..., x_n, p_n).
-        cov: Symmetric 2n x 2n covariance matrix in the same ordering.
+        mean: Quadrature mean vector (x, p).
+        cov: Symmetric 2 x 2 covariance matrix in the same ordering.
             The vacuum has cov = I/4.
     """
 
@@ -57,41 +43,30 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1 or mean.size == 0 or mean.size % 2 != 0:
-            raise ValueError("mean must be a 1-d vector of even length 2n")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"cov must be a {mean.size} x {mean.size} matrix to match mean"
-            )
+        if mean.shape != (2,):
+            raise ValueError("mean must be the quadrature vector (x, p)")
+        if cov.shape != (2, 2):
+            raise ValueError("cov must be a 2 x 2 matrix")
         if not np.array_equal(cov, cov.T):
             raise ValueError("covariance matrix must be symmetric")
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "cov", _readonly(cov))
 
-    @property
-    def n_modes(self) -> int:
-        return self.mean.size // 2
-
     def is_physical(self, tol: float = 1e-12) -> bool:
         """Check the uncertainty relation cov + (i/4) Omega >= 0 up to tol."""
-        omega = symplectic_form(self.n_modes)
-        herm = self.cov + 0.25j * omega
-        eigenvalues = np.linalg.eigvalsh(herm)
+        eigenvalues = np.linalg.eigvalsh(self.cov + 0.25j * _OMEGA)
         return bool(eigenvalues.min() >= -tol)
 
 
-def vacuum_state(n_modes: int = 1) -> GaussianState:
-    """Return the n-mode vacuum: zero mean, covariance I/4."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be a positive integer")
-    dim = 2 * n_modes
-    return GaussianState(np.zeros(dim), VACUUM_VARIANCE * np.eye(dim))
+def vacuum_state() -> GaussianState:
+    """Return the vacuum: zero mean, covariance I/4."""
+    return GaussianState(np.zeros(2), VACUUM_VARIANCE * np.eye(2))
 
 
 def coherent_state(alpha: complex) -> GaussianState:
-    """Return the single-mode coherent state with amplitude alpha.
+    """Return the coherent state with amplitude alpha.
 
     The mean is (Re alpha, Im alpha) and the covariance is the vacuum's I/4.
     """
@@ -101,7 +76,7 @@ def coherent_state(alpha: complex) -> GaussianState:
 
 
 def thermal_state(nbar: float) -> GaussianState:
-    """Return the single-mode thermal state with mean photon number nbar.
+    """Return the thermal state with mean photon number nbar.
 
     Its covariance is ((2 nbar + 1)/4) I; nbar = 0 reproduces the vacuum.
     """
@@ -112,125 +87,17 @@ def thermal_state(nbar: float) -> GaussianState:
     return GaussianState(np.zeros(2), variance * np.eye(2))
 
 
-def tensor(*states: GaussianState) -> GaussianState:
-    """Return the product state of the given states, in argument order."""
-    if not states:
-        raise ValueError("tensor requires at least one state")
-    dim = sum(s.mean.size for s in states)
-    mean = np.concatenate([s.mean for s in states])
-    cov = np.zeros((dim, dim))
-    offset = 0
-    for s in states:
-        d = s.mean.size
-        cov[offset : offset + d, offset : offset + d] = s.cov
-        offset += d
-    return GaussianState(mean, cov)
-
-
-@dataclass(frozen=True, eq=False)
-class SymplecticOp:
-    """A linear symplectic transformation on quadrature space.
-
-    Attributes:
-        matrix: The 2n x 2n matrix S acting as mean -> S mean and
-            cov -> S cov S^T.
-        label: Optional human-readable tag used in error messages.
-    """
-
-    matrix: np.ndarray
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("symplectic matrix must be square")
-        if matrix.shape[0] == 0 or matrix.shape[0] % 2 != 0:
-            raise ValueError("symplectic matrix must have even dimension 2n")
-        object.__setattr__(self, "matrix", _readonly(matrix))
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    def is_symplectic(self, tol: float = 1e-12) -> bool:
-        """Check S Omega S^T = Omega entrywise within tol."""
-        omega = symplectic_form(self.n_modes)
-        residual = self.matrix @ omega @ self.matrix.T - omega
-        return bool(np.abs(residual).max() <= tol)
-
-
-def beam_splitter(eta: float) -> SymplecticOp:
-    """Return the two-mode beam splitter of transmittance eta.
-
-    Acting on modes (A, B), the transmitted port is
-    x_A' = sqrt(eta) x_A + sqrt(1 - eta) x_B and the reflected port is
-    x_B' = -sqrt(1 - eta) x_A + sqrt(eta) x_B, identically for p.
-
-    Args:
-        eta: Power transmittance, 0 < eta <= 1.
-    """
-    eta = float(eta)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("beam splitter transmittance must satisfy 0 < eta <= 1")
-    c = math.sqrt(eta)
-    s = math.sqrt(1.0 - eta)
-    matrix = np.array(
-        [
-            [c, 0.0, s, 0.0],
-            [0.0, c, 0.0, s],
-            [-s, 0.0, c, 0.0],
-            [0.0, -s, 0.0, c],
-        ]
-    )
-    return SymplecticOp(matrix, label=f"beam_splitter(eta={eta})")
-
-
-def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:
-    """Apply a symplectic map: mean -> S mean, cov -> S cov S^T."""
-    if op.matrix.shape[0] != state.mean.size:
-        raise ValueError(
-            f"operation acts on {op.n_modes} modes but state has {state.n_modes}"
-        )
-    mean = op.matrix @ state.mean
-    cov = op.matrix @ state.cov @ op.matrix.T
-    cov = 0.5 * (cov + cov.T)
-    return GaussianState(mean, cov)
-
-
-def partial_trace(state: GaussianState, keep: Sequence[int] | Iterable[int]) -> GaussianState:
-    """Restrict the state to the listed modes, discarding the rest.
-
-    Args:
-        state: The joint state.
-        keep: Mode indices to retain, in the output order.
-    """
-    keep = list(keep)
-    if not keep:
-        raise ValueError("partial_trace must keep at least one mode")
-    if len(set(keep)) != len(keep):
-        raise ValueError("keep list contains duplicate modes")
-    for k in keep:
-        if not 0 <= k < state.n_modes:
-            raise ValueError(f"mode index {k} out of range for {state.n_modes} modes")
-    idx = np.array([2 * k + j for k in keep for j in (0, 1)])
-    return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
-
-
-def thermal_loss_channel(
-    state: GaussianState, eta: float, nbar: float, mode: int = 0
-) -> GaussianState:
-    """Mix one mode with a thermal environment and discard the environment.
+def thermal_loss_channel(state: GaussianState, eta: float, nbar: float) -> GaussianState:
+    """Mix the mode with a thermal environment and discard the environment.
 
     The mode passes a beam splitter of transmittance eta whose other input
     is a thermal state with mean photon number nbar.  On moments this is
-    mean -> sqrt(eta) mean and cov -> eta cov + (1 - eta) (2 nbar + 1)/4 I
-    on the affected mode, with cross covariances scaled by sqrt(eta).
+    mean -> sqrt(eta) mean and cov -> eta cov + (1 - eta) (2 nbar + 1)/4 I.
 
     Args:
         state: Input state.
         eta: Transmittance, 0 < eta <= 1.
         nbar: Mean photon number of the environment, nbar >= 0.
-        mode: Index of the mode the channel acts on.
     """
     eta = float(eta)
     nbar = float(nbar)
@@ -238,30 +105,26 @@ def thermal_loss_channel(
         raise ValueError("transmittance must satisfy 0 < eta <= 1")
     if not math.isfinite(nbar) or nbar < 0:
         raise ValueError("nbar must be a finite non-negative number")
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode index {mode} out of range for {state.n_modes} modes")
     env_variance = (2.0 * nbar + 1.0) * VACUUM_VARIANCE
-    scale = np.ones(state.mean.size)
-    scale[2 * mode] = scale[2 * mode + 1] = math.sqrt(eta)
-    mean = scale * state.mean
-    cov = np.outer(scale, scale) * state.cov
+    scale = math.sqrt(eta)
+    cov = (scale * scale) * state.cov
     added = (1.0 - eta) * env_variance
-    cov[2 * mode, 2 * mode] += added
-    cov[2 * mode + 1, 2 * mode + 1] += added
-    return GaussianState(mean, cov)
+    cov[0, 0] += added
+    cov[1, 1] += added
+    return GaussianState(scale * state.mean, cov)
 
 
-def loss_channel(state: GaussianState, eta: float, mode: int = 0) -> GaussianState:
-    """Apply pure loss of transmittance eta to one mode.
+def loss_channel(state: GaussianState, eta: float) -> GaussianState:
+    """Apply pure loss of transmittance eta.
 
     Equivalent to mixing with the vacuum: mean -> sqrt(eta) mean and
-    cov -> eta cov + ((1 - eta)/4) I on the affected mode.
+    cov -> eta cov + ((1 - eta)/4) I.
     """
-    return thermal_loss_channel(state, eta, 0.0, mode=mode)
+    return thermal_loss_channel(state, eta, 0.0)
 
 
-def random_displacement(state: GaussianState, v: float, mode: int = 0) -> GaussianState:
-    """Apply an isotropic Gaussian random displacement to one mode.
+def random_displacement(state: GaussianState, v: float) -> GaussianState:
+    """Apply an isotropic Gaussian random displacement.
 
     The displacement is drawn from a centered symmetric Gaussian that adds
     v/4 to each quadrature variance, leaving the mean unchanged; v = 0 is
@@ -270,15 +133,12 @@ def random_displacement(state: GaussianState, v: float, mode: int = 0) -> Gaussi
     Args:
         state: Input state.
         v: Added variance in units of 4x quadrature variance, v >= 0.
-        mode: Index of the mode the noise acts on.
     """
     v = float(v)
     if not math.isfinite(v) or v < 0:
         raise ValueError("displacement variance v must be finite and non-negative")
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode index {mode} out of range for {state.n_modes} modes")
     cov = np.array(state.cov)
     added = v * VACUUM_VARIANCE
-    cov[2 * mode, 2 * mode] += added
-    cov[2 * mode + 1, 2 * mode + 1] += added
+    cov[0, 0] += added
+    cov[1, 1] += added
     return GaussianState(state.mean, cov)

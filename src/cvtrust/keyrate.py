@@ -18,9 +18,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
-from .channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED
+import numpy as np
+
+from .channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params
 from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec
 from .rescaling import harmonize
 
@@ -53,14 +55,6 @@ class RateParams:
             "modulation_variance": self.modulation_variance,
             "reconciliation_efficiency": self.reconciliation_efficiency,
         }
-
-
-class RateFunction(Protocol):
-    """Signature of a pluggable rate evaluator."""
-
-    def __call__(
-        self, t_eff: float, xi_eff: float, kind: str, params: RateParams
-    ) -> float: ...
 
 
 def _entropy_photons(x: float) -> float:
@@ -185,6 +179,13 @@ class ScanConfig:
             raise ValueError("loss grid must be strictly increasing")
         if self.loss_db[0] < 0:
             raise ValueError("losses must be non-negative dB values")
+        for loss_db in self.loss_db:
+            if not math.isfinite(loss_db):
+                raise ValueError(f"losses must be finite dB values, got {loss_db!r}")
+            if loss_db_to_transmittance(loss_db) == 0.0:
+                raise ValueError(
+                    f"loss {loss_db!r} dB underflows to zero transmittance"
+                )
         if not math.isfinite(self.xi0) or self.xi0 < 0:
             raise ValueError("xi0 must be finite and non-negative")
         if not self.detectors:
@@ -336,28 +337,30 @@ def loss_db_to_transmittance(loss_db: float) -> float:
 def run_scan(config: ScanConfig) -> ScanTable:
     """Evaluate the configured scenarios over the loss grid.
 
-    Detectors are harmonized once so the trusted scenario uses the shared
-    minimal reduced efficiency.  A rate-function failure at one point is
-    recorded in that row's status and the scan continues.  Rows are
-    sorted by (scenario, loss_db).
+    Detectors are harmonized once; the trusted scenario uses the detector
+    whose reduced efficiency is the shared minimum.  Each scenario's
+    effective parameters come from one array-valued scenario_params call.
+    A rate-function failure at one point is recorded in that row's status
+    and the scan continues.  Rows are sorted by (scenario, loss_db).
     """
     rate_fn = get_rate_function(config.rate_name)
     harmonized = harmonize(config.detectors)
     eta_e_min = harmonized.eta_e_min
-    first = config.detectors[0]
+    scenario_spec = {
+        IDEAL: None,
+        TRUSTED: next(
+            a.spec for a in harmonized.adjustments if a.base_plan.eta_e == eta_e_min
+        ),
+        UNTRUSTED: config.detectors[0],
+    }
+    channel = ChannelSpec(
+        np.array([loss_db_to_transmittance(x) for x in config.loss_db]), config.xi0
+    )
     rows = []
     for scenario in sorted(set(config.scenarios)):
-        for loss_db in config.loss_db:
-            eta = loss_db_to_transmittance(loss_db)
-            if scenario == IDEAL:
-                t_eff = eta
-                xi_eff = t_eff * config.xi0
-            elif scenario == TRUSTED:
-                t_eff = eta * eta_e_min
-                xi_eff = t_eff * config.xi0
-            else:
-                t_eff = eta * first.eta_d
-                xi_eff = t_eff * config.xi0 + 2.0 * first.noise_product
+        t_effs, xi_effs = scenario_params(channel, scenario_spec[scenario], scenario)
+        points = zip(config.loss_db, t_effs.tolist(), xi_effs.tolist())
+        for loss_db, t_eff, xi_eff in points:
             try:
                 rate = float(
                     rate_fn(t_eff, xi_eff, config.rate_kind, config.rate_params)
@@ -377,5 +380,4 @@ def run_scan(config: ScanConfig) -> ScanTable:
                     status=status,
                 )
             )
-    rows.sort(key=lambda r: (r.scenario, r.loss_db))
     return ScanTable(rows=tuple(rows), config=config, eta_e_min=eta_e_min)

@@ -30,17 +30,12 @@ NOISE_FACTOR = {HOMODYNE: 2.0, HETERODYNE: 1.0}
 VACUUM_VARIANCE_FLOOR = {HOMODYNE: 0.25, HETERODYNE: 0.5}
 
 
-@dataclass(frozen=True)
-class NoiseFigure:
-    """The calibrated detector noise product nu = nbar (1 - eta_d)."""
-
-    nu: float
-
-    def __post_init__(self) -> None:
-        nu = float(self.nu)
-        if not math.isfinite(nu) or nu < 0:
-            raise ValueError("nu must be a finite non-negative number")
-        object.__setattr__(self, "nu", nu)
+def _checked_nu(nu: float) -> float:
+    """The noise product nu = nbar (1 - eta_d) as a float, range-checked."""
+    nu = float(nu)
+    if not math.isfinite(nu) or nu < 0:
+        raise ValueError("nu must be a finite non-negative number")
+    return nu
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,7 @@ def rescale_plan(spec: DetectorSpec) -> RescalePlan:
     )
 
 
-def rescale_plan_limit(nu: NoiseFigure | float, kind: str) -> RescalePlan:
+def rescale_plan_limit(nu: float, kind: str) -> RescalePlan:
     """Rescale plan in the high-efficiency limit eta_d -> 1 at fixed nu.
 
     The thermal photon number diverges in this limit, so the plan keeps
@@ -114,26 +109,24 @@ def rescale_plan_limit(nu: NoiseFigure | float, kind: str) -> RescalePlan:
     (heterodyne) and eta_e = 1 / r^2.
 
     Args:
-        nu: The noise product, as a NoiseFigure or a bare float.
+        nu: The noise product, nu >= 0.
         kind: "homodyne" or "heterodyne".
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    value = nu.nu if isinstance(nu, NoiseFigure) else float(nu)
-    if not math.isfinite(value) or value < 0:
-        raise ValueError("nu must be a finite non-negative number")
-    r_squared = 1.0 + NOISE_FACTOR[kind] * value
+    nu = _checked_nu(nu)
+    r_squared = 1.0 + NOISE_FACTOR[kind] * nu
     return RescalePlan(
         kind=kind,
         eta_d=1.0,
         nbar=None,
-        nu=value,
+        nu=nu,
         r=math.sqrt(r_squared),
         eta_e=1.0 / r_squared,
     )
 
 
-def noise_figure_from_vacuum_variance(variance: float, kind: str) -> NoiseFigure:
+def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
     """Infer nu from the outcome variance of a vacuum probe.
 
     With a vacuum input, a noisy homodyne detector shows per-outcome
@@ -151,7 +144,7 @@ def noise_figure_from_vacuum_variance(variance: float, kind: str) -> NoiseFigure
     Raises:
         ValueError: If the variance is below the vacuum floor (1/4 for
             homodyne, 1/2 for heterodyne), which no physical detector of
-            this family can produce.
+            this family can produce, or so large that nu overflows.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -165,7 +158,7 @@ def noise_figure_from_vacuum_variance(variance: float, kind: str) -> NoiseFigure
         nu = (4.0 * variance - 1.0) / 2.0
     else:
         nu = 2.0 * variance - 1.0
-    return NoiseFigure(max(nu, 0.0))
+    return _checked_nu(max(nu, 0.0))
 
 
 @dataclass(frozen=True)

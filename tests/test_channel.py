@@ -13,7 +13,7 @@ from cvtrust.channel import (
     transmit,
 )
 from cvtrust.detectors import HETERODYNE, HOMODYNE, DetectorSpec
-from cvtrust.gaussian import coherent_state, tensor, thermal_state
+from cvtrust.gaussian import coherent_state, thermal_state
 from cvtrust.rescaling import rescale_plan
 
 
@@ -28,6 +28,11 @@ def test_channel_spec_validation():
         ChannelSpec(0.5, -1e-6)
     with pytest.raises(ValueError):
         ChannelSpec(0.5, float("nan"))
+    # an array of transmittances is checked entry by entry
+    assert ChannelSpec(np.array([1.0, 0.5])).eta.tolist() == [1.0, 0.5]
+    for bad in ([0.5, 0.0], [0.5, 1.5], [0.5, float("nan")]):
+        with pytest.raises(ValueError):
+            ChannelSpec(np.array(bad))
 
 
 def test_transmit_coherent_state_moments():
@@ -43,23 +48,16 @@ def test_transmit_lossless_noiseless_is_identity():
     assert np.array_equal(out.cov, state.cov)
 
 
-def test_transmit_selected_mode():
-    joint = tensor(coherent_state(1.0), thermal_state(0.5))
-    out = transmit(joint, ChannelSpec(0.25, 0.0), mode=0)
-    assert np.allclose(out.mean, [0.5, 0.0, 0.0, 0.0], rtol=1e-15)
-    assert np.array_equal(out.cov[2:, 2:], thermal_state(0.5).cov)
-
-
 def test_transmit_keeps_states_physical():
     out = transmit(thermal_state(2.0), ChannelSpec(0.3, 0.05))
     assert out.is_physical()
 
 
 def test_scenario_params_ideal():
-    params = scenario_params(ChannelSpec(0.8, 1e-3))
-    assert params.scenario == IDEAL
-    assert params.t_eff == 0.8
-    assert params.xi_eff == 0.8 * 1e-3
+    t_eff, xi_eff = scenario_params(ChannelSpec(0.8, 1e-3))
+    assert scenario_params(ChannelSpec(0.8, 1e-3), scenario=IDEAL) == (t_eff, xi_eff)
+    assert t_eff == 0.8
+    assert xi_eff == 0.8 * 1e-3
 
 
 def test_scenario_params_trusted_equals_ideal_at_reduced_transmittance():
@@ -68,17 +66,16 @@ def test_scenario_params_trusted_equals_ideal_at_reduced_transmittance():
     trusted = scenario_params(channel, spec, TRUSTED)
     eta_e = rescale_plan(spec).eta_e
     ideal_reduced = scenario_params(ChannelSpec(channel.eta * eta_e, channel.xi0))
-    assert trusted.t_eff == ideal_reduced.t_eff
-    assert trusted.xi_eff == ideal_reduced.xi_eff
+    assert trusted == ideal_reduced
 
 
 def test_scenario_params_untrusted_absorbs_detector_noise():
     channel = ChannelSpec(0.8, 1e-3)
     spec = DetectorSpec(HETERODYNE, 0.7, nbar=0.8)
-    params = scenario_params(channel, spec, UNTRUSTED)
-    assert np.isclose(params.t_eff, 0.56, rtol=1e-15)
+    t_eff, xi_eff = scenario_params(channel, spec, UNTRUSTED)
+    assert np.isclose(t_eff, 0.56, rtol=1e-15)
     # t_eff * xi0 + 2 nbar (1 - eta_d)
-    assert np.isclose(params.xi_eff, 0.56e-3 + 2 * 0.8 * 0.3, rtol=1e-14)
+    assert np.isclose(xi_eff, 0.56e-3 + 2 * 0.8 * 0.3, rtol=1e-14)
 
 
 def test_scenario_params_validation():
@@ -105,27 +102,34 @@ def test_scenario_constants():
 def test_scenario_params_properties(eta, xi0, eta_d, nbar, kind):
     channel = ChannelSpec(eta, xi0)
     spec = DetectorSpec(kind, eta_d, nbar=nbar)
-    ideal = scenario_params(channel)
-    trusted = scenario_params(channel, spec, TRUSTED)
-    untrusted = scenario_params(channel, spec, UNTRUSTED)
+    ideal_t, _ = scenario_params(channel)
+    trusted_t, trusted_xi = scenario_params(channel, spec, TRUSTED)
+    untrusted_t, untrusted_xi = scenario_params(channel, spec, UNTRUSTED)
     # trusted folds only loss into the transmittance, never extra noise
-    assert trusted.t_eff <= ideal.t_eff
-    assert trusted.xi_eff == trusted.t_eff * xi0
+    assert trusted_t <= ideal_t
+    assert trusted_xi == trusted_t * xi0
     # untrusted inflates the excess noise by the full detector noise
-    assert untrusted.t_eff >= trusted.t_eff
-    assert untrusted.xi_eff >= untrusted.t_eff * xi0
+    assert untrusted_t >= trusted_t
+    assert untrusted_xi >= untrusted_t * xi0
     assert np.isclose(
-        untrusted.xi_eff - untrusted.t_eff * xi0,
+        untrusted_xi - untrusted_t * xi0,
         2 * nbar * (1 - eta_d),
         rtol=1e-12,
         atol=1e-15,
     )
 
 
-def test_scenario_params_json_dict():
-    params = scenario_params(ChannelSpec(0.8, 1e-3))
-    assert params.to_json_dict() == {
-        "scenario": "ideal",
-        "t_eff": 0.8,
-        "xi_eff": 0.8 * 1e-3,
-    }
+@settings(max_examples=60, deadline=None)
+@given(
+    etas=st.lists(st.floats(1e-4, 1.0, exclude_min=True), min_size=1, max_size=20),
+    xi0=st.floats(0, 0.2),
+    eta_d=st.floats(0.1, 1.0),
+    nbar=st.floats(0, 3),
+    kind=st.sampled_from([HOMODYNE, HETERODYNE]),
+)
+def test_scenario_params_arrays_equal_scalar_calls(etas, xi0, eta_d, nbar, kind):
+    spec = DetectorSpec(kind, eta_d, nbar=nbar)
+    for scenario in SCENARIOS:
+        t_effs, xi_effs = scenario_params(ChannelSpec(np.array(etas), xi0), spec, scenario)
+        scalar = [scenario_params(ChannelSpec(eta, xi0), spec, scenario) for eta in etas]
+        assert list(zip(t_effs.tolist(), xi_effs.tolist())) == scalar

@@ -266,6 +266,19 @@ def test_scan_loss_grid_forms(capsys, tmp_path):
     assert "step" in err
 
 
+@pytest.mark.parametrize("loss_db", ["nan,5", "1e400", "5000"])
+def test_scan_rejects_losses_without_a_transmittance(capsys, tmp_path, loss_db):
+    code, out, err = run_cli(
+        capsys,
+        "scan",
+        "--eta-d", "0.7", "--two-nu", "1e-3", "--loss-db", loss_db, "--out", "bad",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_needs_detectors(capsys):
     code, _, err = run_cli(capsys, "scan", "--loss-db", "0:10:5")
     assert code == 2

@@ -3,17 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvtrust.equivalence import beam_splitter_dilation_oracle
 from cvtrust.gaussian import (
-    VACUUM_VARIANCE,
     GaussianState,
-    apply_symplectic,
-    beam_splitter,
     coherent_state,
     loss_channel,
-    partial_trace,
     random_displacement,
-    symplectic_form,
-    tensor,
     thermal_loss_channel,
     thermal_state,
     vacuum_state,
@@ -75,6 +70,8 @@ def test_state_validation():
         GaussianState(np.zeros(3), np.eye(3))
     with pytest.raises(ValueError):
         GaussianState(np.zeros(2), np.eye(4))
+    with pytest.raises(ValueError):  # states are single-mode
+        GaussianState(np.zeros(4), 0.25 * np.eye(4))
     asym = np.array([[0.25, 0.1], [0.0, 0.25]])
     with pytest.raises(ValueError):
         GaussianState(np.zeros(2), asym)
@@ -96,77 +93,44 @@ def test_is_physical():
     assert ok.is_physical()
 
 
-def test_symplectic_form():
-    omega = symplectic_form(2)
-    assert np.array_equal(omega, -omega.T)
-    assert np.array_equal(omega[:2, :2], [[0, 1], [-1, 0]])
-
-
-def test_beam_splitter_is_symplectic():
-    for eta in (0.3, 0.5, 0.7, 1.0 - 1e-6):
-        op = beam_splitter(eta)
-        assert op.is_symplectic(tol=1e-12)
-
-
 def test_beam_splitter_eta_one_is_identity():
-    assert np.array_equal(beam_splitter(1.0).matrix, np.eye(4))
+    out = beam_splitter_dilation_oracle(1.5 - 0.5j, 1.0, 3.0)
+    assert np.array_equal(out["mean"], [1.5, -0.5])
+    assert np.array_equal(out["cov"], 0.25 * np.eye(2))
 
 
 def test_beam_splitter_domain():
     for eta in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
-            beam_splitter(eta)
+            beam_splitter_dilation_oracle(1.0, eta, 0.0)
+    with pytest.raises(ValueError):
+        beam_splitter_dilation_oracle(1.0, 0.5, -1.0)
 
 
 def test_balanced_beam_splitter_splits_amplitude():
-    joint = tensor(coherent_state(np.sqrt(2)), vacuum_state())
-    out = apply_symplectic(joint, beam_splitter(0.5))
-    kept = partial_trace(out, [0])
-    assert np.allclose(kept.mean, [1.0, 0.0], atol=1e-14)
-    assert np.allclose(kept.cov, 0.25 * np.eye(2), atol=1e-14)
-
-
-def test_apply_symplectic_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_symplectic(vacuum_state(), beam_splitter(0.5))
+    out = beam_splitter_dilation_oracle(np.sqrt(2), 0.5, 0.0)
+    assert np.allclose(out["mean"], [1.0, 0.0], atol=1e-14)
+    assert np.allclose(out["cov"], 0.25 * np.eye(2), atol=1e-14)
 
 
 def test_beam_splitter_mix_matches_thermal_loss_map():
-    # composing beam splitter + partial trace against the closed-form map
+    # the dilation oracle against the closed-form map
     eta_d, nbar = 0.7, 0.8
     alpha = 1.5 - 0.5j
-    joint = tensor(coherent_state(alpha), thermal_state(nbar))
-    mixed = partial_trace(apply_symplectic(joint, beam_splitter(eta_d)), [0])
+    mixed = beam_splitter_dilation_oracle(alpha, eta_d, nbar)
     direct = thermal_loss_channel(coherent_state(alpha), eta_d, nbar)
-    assert np.allclose(mixed.mean, direct.mean, atol=1e-14)
-    assert np.allclose(mixed.cov, direct.cov, atol=1e-14)
+    assert np.allclose(mixed["mean"], direct.mean, atol=1e-14)
+    assert np.allclose(mixed["cov"], direct.cov, atol=1e-14)
     expected_var = (eta_d + (1 - eta_d) * (2 * nbar + 1)) / 4
-    assert np.allclose(mixed.cov, expected_var * np.eye(2), atol=1e-14)
-    assert np.allclose(mixed.mean, np.sqrt(eta_d) * np.array([1.5, -0.5]), atol=1e-14)
+    assert np.allclose(mixed["cov"], expected_var * np.eye(2), atol=1e-14)
+    assert np.allclose(mixed["mean"], np.sqrt(eta_d) * np.array([1.5, -0.5]), atol=1e-14)
 
 
 def test_beam_splitter_preserves_purity():
-    joint = tensor(coherent_state(2j), coherent_state(-1))
-    out = apply_symplectic(joint, beam_splitter(0.42))
-    assert np.isclose(np.linalg.det(4 * out.cov), 1.0, rtol=1e-12)
-    assert out.is_physical()
-
-
-def test_partial_trace_keeps_requested_modes():
-    joint = tensor(coherent_state(1), thermal_state(2.0), coherent_state(3j))
-    sub = partial_trace(joint, [2, 0])
-    assert np.array_equal(sub.mean, [0.0, 3.0, 1.0, 0.0])
-    assert np.array_equal(sub.cov, 0.25 * np.eye(4))
-
-
-def test_partial_trace_validation():
-    joint = tensor(vacuum_state(), vacuum_state())
-    with pytest.raises(ValueError):
-        partial_trace(joint, [])
-    with pytest.raises(ValueError):
-        partial_trace(joint, [0, 0])
-    with pytest.raises(ValueError):
-        partial_trace(joint, [2])
+    # a coherent state mixed with the vacuum stays a pure coherent state
+    out = beam_splitter_dilation_oracle(2j, 0.42, 0.0)
+    assert np.isclose(np.linalg.det(4 * out["cov"]), 1.0, rtol=1e-12)
+    assert GaussianState(out["mean"], out["cov"]).is_physical()
 
 
 def test_loss_channel_identity_at_full_transmittance():
@@ -186,12 +150,6 @@ def test_loss_channel_maps_thermal_to_thermal():
     nbar, eta = 1.7, 0.4
     out = loss_channel(thermal_state(nbar), eta)
     assert np.allclose(out.cov, thermal_state(eta * nbar).cov, rtol=1e-14)
-
-
-def test_loss_channel_acts_on_selected_mode():
-    joint = tensor(coherent_state(2.0), coherent_state(2.0))
-    out = loss_channel(joint, 0.25, mode=1)
-    assert np.allclose(out.mean, [2.0, 0.0, 1.0, 0.0], atol=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,12 +198,5 @@ def test_operations_preserve_physicality(eta, nbar, v, amp):
     state = thermal_loss_channel(state, eta, nbar)
     state = random_displacement(state, v)
     assert state.is_physical()
-    joint = tensor(state, thermal_state(nbar))
-    out = apply_symplectic(joint, beam_splitter(max(eta, 1e-3)))
-    assert out.is_physical()
-    assert partial_trace(out, [1]).is_physical()
-
-
-def test_tensor_requires_states():
-    with pytest.raises(ValueError):
-        tensor()
+    mixed = beam_splitter_dilation_oracle(amp + 0.5j, eta, nbar)
+    assert GaussianState(mixed["mean"], mixed["cov"]).is_physical()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvtrust.channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED
+from cvtrust.channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params
 from cvtrust.detectors import HETERODYNE, HOMODYNE, DetectorSpec
 from cvtrust.keyrate import (
     PROTOCOLS,
@@ -17,6 +17,7 @@ from cvtrust.keyrate import (
     reference_rate,
     run_scan,
 )
+from cvtrust.rescaling import rescale_plan
 
 HET_SPEC = DetectorSpec.from_noise_product(HETERODYNE, 0.7, two_nu=1e-3)
 HOM_SPEC = DetectorSpec.from_noise_product(HOMODYNE, 0.7, two_nu=1e-3)
@@ -113,6 +114,11 @@ def test_scan_config_validation():
         het_scan_config(loss_db=(0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         het_scan_config(loss_db=(-1.0, 0.0))
+    # losses without a nonzero transmittance
+    for loss_db in ((float("nan"), 5.0), (0.0, float("inf")), (5.0, 5000.0)):
+        with pytest.raises(ValueError):
+            het_scan_config(loss_db=loss_db)
+    het_scan_config(loss_db=(0.0, 3090.0))  # a subnormal transmittance is one
     with pytest.raises(ValueError):
         het_scan_config(xi0=-1e-3)
     with pytest.raises(ValueError):
@@ -202,6 +208,25 @@ def test_run_scan_trusted_rows_replay_through_rate_function():
                 row.t_eff, row.xi_eff, config.rate_kind, config.rate_params
             )
             assert replayed == row.rate
+
+
+def test_run_scan_hybrid_trusted_rows_use_the_harmonized_minimum_detector():
+    for hom_eta_d, expected_kind in ((0.6, HOMODYNE), (0.95, HETERODYNE)):
+        hom = DetectorSpec(HOMODYNE, hom_eta_d, nbar=0.5)
+        config = het_scan_config(
+            detectors=(hom, HET_SPEC), protocol="hybrid", scenarios=(IDEAL, TRUSTED)
+        )
+        table = run_scan(config)
+        chosen = min(config.detectors, key=lambda d: rescale_plan(d).eta_e)
+        assert chosen.kind == expected_kind
+        assert rescale_plan(chosen).eta_e == table.eta_e_min
+        trusted = [(r.t_eff, r.xi_eff) for r in table.rows if r.scenario == TRUSTED]
+        assert trusted == [
+            scenario_params(
+                ChannelSpec(loss_db_to_transmittance(x), config.xi0), chosen, TRUSTED
+            )
+            for x in config.loss_db
+        ]
 
 
 def test_run_scan_rows_are_sorted():

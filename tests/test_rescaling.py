@@ -9,7 +9,6 @@ from cvtrust.detectors import HETERODYNE, HOMODYNE, DetectorSpec
 from cvtrust.rescaling import (
     NOISE_FACTOR,
     VACUUM_VARIANCE_FLOOR,
-    NoiseFigure,
     harmonize,
     noise_figure_from_vacuum_variance,
     rescale_plan,
@@ -93,13 +92,11 @@ def test_plan_monotone_in_noise(nu_lo, step, kind):
 
 
 def test_limit_plan_fields():
-    plan = rescale_plan_limit(NoiseFigure(2e-3), HOMODYNE)
+    plan = rescale_plan_limit(2e-3, HOMODYNE)
     assert plan.eta_d == 1.0
     assert plan.nbar is None
     assert plan.r_squared == 1.004
     assert np.isclose(plan.eta_e, 1 / 1.004, rtol=1e-15)
-    bare = rescale_plan_limit(2e-3, HOMODYNE)
-    assert bare == plan
 
 
 def test_limit_plan_is_continuous_limit_of_finite_plans():
@@ -119,7 +116,7 @@ def test_limit_plan_validation():
     with pytest.raises(ValueError):
         rescale_plan_limit(-1e-3, HOMODYNE)
     with pytest.raises(ValueError):
-        NoiseFigure(float("nan"))
+        rescale_plan_limit(float("nan"), HOMODYNE)
 
 
 def test_plan_json_dict():
@@ -131,19 +128,19 @@ def test_plan_json_dict():
 
 
 def test_noise_figure_from_vacuum_variance_frozen():
-    fig = noise_figure_from_vacuum_variance(0.25025, HOMODYNE)
-    assert np.isclose(fig.nu, 5e-4, rtol=1e-11)
-    fig = noise_figure_from_vacuum_variance(0.5005, HETERODYNE)
-    assert np.isclose(fig.nu, 1e-3, rtol=1e-11)
+    assert np.isclose(noise_figure_from_vacuum_variance(0.25025, HOMODYNE), 5e-4, rtol=1e-11)
+    assert np.isclose(noise_figure_from_vacuum_variance(0.5005, HETERODYNE), 1e-3, rtol=1e-11)
 
 
 def test_noise_figure_floor_is_exact():
-    assert noise_figure_from_vacuum_variance(0.25, HOMODYNE).nu == 0.0
-    assert noise_figure_from_vacuum_variance(0.5, HETERODYNE).nu == 0.0
+    assert noise_figure_from_vacuum_variance(0.25, HOMODYNE) == 0.0
+    assert noise_figure_from_vacuum_variance(0.5, HETERODYNE) == 0.0
     with pytest.raises(ValueError):
         noise_figure_from_vacuum_variance(0.2499999, HOMODYNE)
     with pytest.raises(ValueError):
         noise_figure_from_vacuum_variance(0.2, HETERODYNE)
+    with pytest.raises(ValueError):  # 4 var - 1 overflows to infinity
+        noise_figure_from_vacuum_variance(1e308, HOMODYNE)
 
 
 @settings(max_examples=100, deadline=None)
@@ -154,8 +151,8 @@ def test_noise_figure_roundtrip(nu, kind):
         variance = (1 + 2 * nu) / 4
     else:
         variance = (1 + nu) / 2
-    fig = noise_figure_from_vacuum_variance(variance, kind)
-    assert math.isclose(fig.nu, nu, rel_tol=1e-12, abs_tol=1e-15)
+    fitted = noise_figure_from_vacuum_variance(variance, kind)
+    assert math.isclose(fitted, nu, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_harmonize_single_detector_is_noop():
