@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -48,6 +49,9 @@ from .rescaling import (
 )
 
 OUTPUT_DIR_ENV = "CVTRUST_OUTPUT_DIR"
+
+# Largest number of points a start:stop:step loss grid may expand to.
+MAX_GRID_POINTS = 10**6
 
 
 def _json_text(obj) -> str:
@@ -102,10 +106,16 @@ def _parse_loss_grid(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"loss grid must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"loss grid start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("loss grid step must be positive")
         if stop < start:
             raise ValueError("loss grid stop must not precede start")
+        if (stop - start) / step + 1 > MAX_GRID_POINTS:
+            raise ValueError(
+                f"loss grid {text!r} has more than {MAX_GRID_POINTS} points"
+            )
         values = []
         k = 0
         while True:
@@ -310,6 +320,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     try:
         nu = noise_figure_from_vacuum_variance(variance, args.kind)
     except ValueError as exc:
+        if not math.isfinite(variance):
+            raise  # bad input, not a failed calibration
         print(f"calibration failed: {exc}", file=sys.stderr)
         return 1
     payload = {"kind": args.kind, "variance": variance, "nu": nu}

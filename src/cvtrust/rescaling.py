@@ -38,6 +38,14 @@ def _checked_nu(nu: float) -> float:
     return nu
 
 
+def _checked_r_squared(nu: float, kind: str) -> float:
+    """r^2 = 1 + 2 nu (homodyne) or 1 + nu (heterodyne), required finite."""
+    r_squared = 1.0 + NOISE_FACTOR[kind] * nu
+    if not math.isfinite(r_squared):
+        raise ValueError(f"noise product nu = {nu} makes the {kind} r^2 overflow")
+    return r_squared
+
+
 @dataclass(frozen=True)
 class RescalePlan:
     """Parameters of the equivalent loss-then-rescale detector.
@@ -88,9 +96,12 @@ def rescale_plan(spec: DetectorSpec) -> RescalePlan:
 
     Returns:
         The plan (r, eta_e) with eta_e * r^2 = eta_d.
+
+    Raises:
+        ValueError: If r^2 overflows.
     """
     nu = spec.noise_product
-    r_squared = 1.0 + NOISE_FACTOR[spec.kind] * nu
+    r_squared = _checked_r_squared(nu, spec.kind)
     return RescalePlan(
         kind=spec.kind,
         eta_d=spec.eta_d,
@@ -111,11 +122,14 @@ def rescale_plan_limit(nu: float, kind: str) -> RescalePlan:
     Args:
         nu: The noise product, nu >= 0.
         kind: "homodyne" or "heterodyne".
+
+    Raises:
+        ValueError: If nu is negative or not finite, or r^2 overflows.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     nu = _checked_nu(nu)
-    r_squared = 1.0 + NOISE_FACTOR[kind] * nu
+    r_squared = _checked_r_squared(nu, kind)
     return RescalePlan(
         kind=kind,
         eta_d=1.0,
@@ -142,15 +156,18 @@ def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
         kind: "homodyne" or "heterodyne".
 
     Raises:
-        ValueError: If the variance is below the vacuum floor (1/4 for
-            homodyne, 1/2 for heterodyne), which no physical detector of
-            this family can produce, or so large that nu overflows.
+        ValueError: If the variance is not a finite number, is below the
+            vacuum floor (1/4 for homodyne, 1/2 for heterodyne), which no
+            physical detector of this family can produce, or is so large
+            that nu overflows.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     variance = float(variance)
+    if not math.isfinite(variance):
+        raise ValueError(f"vacuum-probe variance {variance} is not a finite number")
     floor = VACUUM_VARIANCE_FLOOR[kind]
-    if not math.isfinite(variance) or variance < floor:
+    if variance < floor:
         raise ValueError(
             f"vacuum-probe variance {variance} is below the {kind} floor {floor}"
         )

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvtrust
 from cvtrust.cli import main
 
 pytestmark = pytest.mark.usefixtures("isolated_output_dir")
@@ -63,6 +68,23 @@ def test_rescale_flag_conflicts(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "rescale", "--kind", "homodyne")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--kind", "homodyne", "--nu", "1e308"),
+        ("--kind", "homodyne", "--eta-d", "0.1", "--nbar", "1e308"),
+    ],
+    ids=["limit", "finite"],
+)
+def test_rescale_rejects_an_overflowing_plan(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, "rescale", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflow" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rescale_requires_kind(capsys):
@@ -279,6 +301,22 @@ def test_scan_rejects_losses_without_a_transmittance(capsys, tmp_path, loss_db):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("loss_db", ["0:1e9:1e-9", "0:10:1e-5", "0:nan:1", "0:inf:1"])
+def test_scan_rejects_oversized_or_non_finite_loss_grids(capsys, tmp_path, loss_db):
+    # Each is rejected before the grid is expanded: 0:10:1e-5 has one point
+    # more than the cap, 0:1e9:1e-9 would take about 10^18 steps, and the
+    # non-finite ones never end.
+    code, out, err = run_cli(
+        capsys,
+        "scan",
+        "--eta-d", "0.7", "--two-nu", "1e-3", "--loss-db", loss_db, "--out", "bad",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_needs_detectors(capsys):
     code, _, err = run_cli(capsys, "scan", "--loss-db", "0:10:5")
     assert code == 2
@@ -301,6 +339,19 @@ def test_calibrate_below_vacuum_floor_fails(capsys):
     )
     assert code == 1
     assert "calibration failed" in err
+
+
+@pytest.mark.parametrize("variance", ["inf", "nan"])
+def test_calibrate_rejects_a_non_finite_variance(capsys, tmp_path, variance):
+    code, out, err = run_cli(
+        capsys,
+        "calibrate",
+        "--kind", "heterodyne", "--vacuum-variance", variance, "--out", "cal.json",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: vacuum-probe variance {variance} is not a finite number\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_calibrate_argument_rules(capsys, tmp_path):
@@ -392,3 +443,46 @@ def test_no_temp_files_left_behind(capsys, tmp_path):
     )
     leftovers = [p for p in tmp_path.rglob("*.tmp")]
     assert leftovers == []
+
+
+_SCIPY_PROBE = """
+import json, sys
+import cvtrust
+from cvtrust.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = sys.argv[1]
+codes = [
+    main(["rescale", "--kind", "homodyne", "--nu", "1e-3"]),
+    main(["calibrate", "--kind", "heterodyne", "--vacuum-variance", "0.5005"]),
+    main(["scan", "--eta-d", "0.7", "--two-nu", "1e-3", "--loss-db", "0:20:5",
+          "--out", out + "/scan"]),
+]
+before_verify = scipy_modules()
+codes.append(main(["verify", "--eta-d", "0.7", "--nu", "1e-3", "--amplitudes", "1",
+                   "--phases", "1", "--out", out + "/verify"]))
+print(json.dumps({"codes": codes, "before_verify": before_verify,
+                  "after_verify": len(scipy_modules())}), file=sys.stderr)
+"""
+
+
+def test_only_verify_loads_scipy(tmp_path):
+    # pytest's own process has scipy loaded already, so the check runs in a
+    # fresh interpreter that imports the same cvtrust as this one.
+    package_root = str(Path(cvtrust.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["before_verify"] == []
+    assert result["after_verify"] > 0  # the probe does see scipy once it loads

@@ -11,11 +11,15 @@ from cvtrust.detectors import (
     DetectorSpec,
     OutcomeDensity,
     noisy_measurement_density,
+    rescaled_lossy_density,
+    sample_outcomes,
 )
 from cvtrust.gaussian import coherent_state
+from cvtrust.rescaling import rescale_plan
 from cvtrust.equivalence import (
     CSV_COLUMNS,
     SweepConfig,
+    _ks_cell,
     _ks_two_sample,
     _tv_distance,
     analytic_sweep,
@@ -265,6 +269,27 @@ def test_merge_rank_ks_keeps_exact_pvalues_up_to_1e4():
     xs, ys = rng.standard_normal(10_000), rng.standard_normal(9_000)
     expected = ks_2samp(xs, ys)
     assert _ks_two_sample(xs, ys) == (expected.statistic, expected.pvalue)
+
+
+@pytest.mark.parametrize("r_used", ["faithful", 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_ks_cell_single_tail_call_equals_two_call_minimum(seed, r_used):
+    # A heterodyne cell as the Monte Carlo sweep builds it, above the exact
+    # regime, faithful and with the rescale skipped (tail p-values).
+    spec = DetectorSpec.from_noise_product(HETERODYNE, 0.7, nu=0.2)
+    plan = rescale_plan(spec)
+    state = coherent_state(3.0 + 1.0j)
+    r = plan.r if r_used == "faithful" else r_used
+    n = 20_001
+    a = sample_outcomes(noisy_measurement_density(state, spec), n, seed, 0) / r
+    b = sample_outcomes(rescaled_lossy_density(state, HETERODYNE, plan.eta_e, 1.0), n, seed, 1)
+    pairs = [(a.real, b.real), (a.imag, b.imag)]
+    per_component = [_ks_two_sample(xs, ys) for xs, ys in pairs]
+    expected = (
+        max(stat for stat, _ in per_component),
+        min(1.0, 2 * min(p for _, p in per_component)),
+    )
+    assert _ks_cell(pairs) == expected
 
 
 def test_holm_rejections_step_down():

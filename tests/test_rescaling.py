@@ -117,6 +117,15 @@ def test_limit_plan_validation():
         rescale_plan_limit(-1e-3, HOMODYNE)
     with pytest.raises(ValueError):
         rescale_plan_limit(float("nan"), HOMODYNE)
+    with pytest.raises(ValueError, match="overflow"):  # 1 + 2 nu is infinite
+        rescale_plan_limit(1e308, HOMODYNE)
+    assert math.isfinite(rescale_plan_limit(1e308, HETERODYNE).r)
+
+
+def test_finite_plan_rejects_an_overflowing_r_squared():
+    with pytest.raises(ValueError, match="overflow"):  # nu = 9e307
+        rescale_plan(DetectorSpec(HOMODYNE, 0.1, nbar=1e308))
+    assert math.isfinite(rescale_plan(DetectorSpec(HETERODYNE, 0.1, nbar=1e308)).r)
 
 
 def test_plan_json_dict():
@@ -141,6 +150,13 @@ def test_noise_figure_floor_is_exact():
         noise_figure_from_vacuum_variance(0.2, HETERODYNE)
     with pytest.raises(ValueError):  # 4 var - 1 overflows to infinity
         noise_figure_from_vacuum_variance(1e308, HOMODYNE)
+
+
+@pytest.mark.parametrize("variance", [math.inf, -math.inf, math.nan])
+def test_noise_figure_rejects_a_non_finite_variance(variance):
+    for kind in (HOMODYNE, HETERODYNE):
+        with pytest.raises(ValueError, match="not a finite number"):
+            noise_figure_from_vacuum_variance(variance, kind)
 
 
 @settings(max_examples=100, deadline=None)
