@@ -43,6 +43,7 @@ from .keyrate import (
     run_scan,
 )
 from .rescaling import (
+    VACUUM_VARIANCE_FLOOR,
     noise_figure_from_vacuum_variance,
     rescale_plan,
     rescale_plan_limit,
@@ -55,7 +56,7 @@ MAX_GRID_POINTS = 10**6
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -320,8 +321,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     try:
         nu = noise_figure_from_vacuum_variance(variance, args.kind)
     except ValueError as exc:
-        if not math.isfinite(variance):
-            raise  # bad input, not a failed calibration
+        if not (math.isfinite(variance) and variance < VACUUM_VARIANCE_FLOOR[args.kind]):
+            raise  # only a finite variance below the floor fails a calibration
         print(f"calibration failed: {exc}", file=sys.stderr)
         return 1
     payload = {"kind": args.kind, "variance": variance, "nu": nu}

@@ -91,43 +91,35 @@ class DetectorSpec:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDensity:
-    """Gaussian density of a measurement outcome.
+    """Gaussian outcome density whose components share one variance.
+
+    Coherent inputs through the phase-insensitive maps of this package
+    give nothing else: a real outcome, or the (Re, Im) components of a
+    complex outcome with equal variances and no correlation.
 
     Attributes:
         mean: Outcome mean, shape (1,) for a real outcome or (2,) for the
             (Re, Im) components of a complex outcome.
-        cov: Outcome covariance, shape (1, 1) or (2, 2), positive definite.
+        variance: Variance of each component, positive and finite.
     """
 
     mean: np.ndarray
-    cov: np.ndarray
+    variance: float
 
     def __post_init__(self) -> None:
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        mean = np.array(self.mean, dtype=float, ndmin=1)
         if mean.shape not in ((1,), (2,)):
             raise ValueError("outcome mean must have one or two components")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError("outcome covariance shape must match the mean")
-        if not np.array_equal(cov, cov.T):
-            raise ValueError("outcome covariance must be symmetric")
-        if np.linalg.eigvalsh(cov).min() <= 0:
-            raise ValueError("outcome covariance must be positive definite")
-        mean = np.array(mean)
-        cov = np.array(cov)
+        variance = float(self.variance)
+        if not (math.isfinite(variance) and variance > 0):
+            raise ValueError("outcome variance must be positive and finite")
         mean.setflags(write=False)
-        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "variance", variance)
 
     @property
     def ndim(self) -> int:
         return self.mean.size
-
-    @property
-    def variances(self) -> np.ndarray:
-        """Per-component variances (the covariance diagonal)."""
-        return np.diag(self.cov)
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the density.
@@ -140,51 +132,25 @@ class OutcomeDensity:
         Returns:
             Density values, shape (m,).
         """
-        if self.ndim == 1:
-            x = np.asarray(points, dtype=float).reshape(-1)
-            var = self.cov[0, 0]
-            z = (x - self.mean[0]) ** 2 / var
-            return np.exp(-0.5 * z) / math.sqrt(2.0 * math.pi * var)
         pts = np.asarray(points)
         if np.iscomplexobj(pts):
             pts = np.column_stack([pts.real, pts.imag])
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        det = self.cov[0, 0] * self.cov[1, 1] - self.cov[0, 1] * self.cov[1, 0]
-        inv = (
-            np.array(
-                [
-                    [self.cov[1, 1], -self.cov[0, 1]],
-                    [-self.cov[1, 0], self.cov[0, 0]],
-                ]
-            )
-            / det
-        )
-        d = pts - self.mean
-        z = np.einsum("mi,ij,mj->m", d, inv, d)
-        return np.exp(-0.5 * z) / (2.0 * math.pi * math.sqrt(det))
-
-    def marginal(self, component: int) -> "OutcomeDensity":
-        """Return the 1-d marginal of one component of a 2-d density."""
-        if self.ndim != 2:
-            raise ValueError("marginal is only defined for two-component densities")
-        if component not in (0, 1):
-            raise ValueError("component must be 0 or 1")
-        return OutcomeDensity(
-            self.mean[component : component + 1],
-            self.cov[component : component + 1, component : component + 1],
-        )
+        d = np.asarray(pts, dtype=float).reshape(-1, self.ndim) - self.mean
+        z = np.sum(d * d, axis=1) / self.variance
+        norm = (2.0 * math.pi * self.variance) ** (self.ndim / 2.0)
+        return np.exp(-0.5 * z) / norm
 
     def scaled(self, factor: float) -> "OutcomeDensity":
         """Pushforward under outcome -> factor * outcome.
 
         The density of the scaled outcome has mean factor * mean and
-        covariance factor^2 * cov (the Jacobian is absorbed by the
+        variance factor^2 * variance (the Jacobian is absorbed by the
         parameter change).
         """
         factor = float(factor)
         if not math.isfinite(factor) or factor == 0:
             raise ValueError("scale factor must be finite and nonzero")
-        return OutcomeDensity(factor * self.mean, (factor * factor) * self.cov)
+        return OutcomeDensity(factor * self.mean, (factor * factor) * self.variance)
 
 
 def ideal_homodyne_density(state: GaussianState) -> OutcomeDensity:
@@ -193,7 +159,7 @@ def ideal_homodyne_density(state: GaussianState) -> OutcomeDensity:
     For a Gaussian state this is the normal density with the state's
     x mean and x variance.
     """
-    return OutcomeDensity(state.mean[:1], state.cov[:1, :1])
+    return OutcomeDensity(state.mean[:1], state.cov[0, 0])
 
 
 def ideal_heterodyne_density(state: GaussianState) -> OutcomeDensity:
@@ -202,8 +168,15 @@ def ideal_heterodyne_density(state: GaussianState) -> OutcomeDensity:
     The complex outcome has the state's quadrature means and covariance
     cov + I/4; one vacuum unit enters through the simultaneous measurement
     of both quadratures.
+
+    Raises:
+        ValueError: For a state that is not phase-insensitive (its
+            covariance is not a multiple of the identity).
     """
-    return OutcomeDensity(state.mean, state.cov + VACUUM_VARIANCE * np.eye(2))
+    cov = state.cov
+    if not (cov[0, 1] == 0.0 and cov[0, 0] == cov[1, 1]):
+        raise ValueError("heterodyne outcome densities need a phase-insensitive state")
+    return OutcomeDensity(state.mean, cov[0, 0] + VACUUM_VARIANCE)
 
 
 def _ideal_density(state: GaussianState, kind: str) -> OutcomeDensity:
@@ -272,9 +245,8 @@ def sample_outcomes(
     if n < 1:
         raise ValueError("sample count must be at least 1")
     rng = np.random.default_rng((int(seed), int(stream)))
+    sigma = math.sqrt(density.variance)
     if density.ndim == 1:
-        sigma = math.sqrt(density.cov[0, 0])
         return density.mean[0] + sigma * rng.standard_normal(n)
-    chol = np.linalg.cholesky(density.cov)
-    z = rng.standard_normal((n, 2)) @ chol.T + density.mean
+    z = sigma * rng.standard_normal((n, 2)) + density.mean
     return z[:, 0] + 1j * z[:, 1]

@@ -47,6 +47,12 @@ class RateParams:
     def __post_init__(self) -> None:
         if not self.modulation_variance > 0:
             raise ValueError("modulation_variance must be positive")
+        v = self.modulation_variance + 1.0
+        if not math.isfinite(v * v):
+            raise ValueError(
+                f"modulation_variance {self.modulation_variance!r} is too large: "
+                "(V_A + 1)^2 overflows"
+            )
         if not 0.0 < self.reconciliation_efficiency <= 1.0:
             raise ValueError("reconciliation_efficiency must lie in (0, 1]")
 
@@ -57,10 +63,22 @@ class RateParams:
         }
 
 
+# reference_rate leaves its textbook forms, which cancel or overflow,
+# above this photon number or output variance b, and where |b - a| is
+# below _NEAR_SYMMETRIC a.  Between the two the textbook forms stay, so
+# the rates there keep their bits.
+_LARGE_NOISE = 1e8
+_NEAR_SYMMETRIC = 1e-4
+
+
 def _entropy_photons(x: float) -> float:
     """Von Neumann entropy (bits) of a thermal state with x mean photons."""
     if x <= 0:
         return 0.0
+    if x > _LARGE_NOISE:
+        # (x + 1) log2(x + 1) - x log2 x loses every digit once x + 1
+        # rounds to x; this form has no difference of large terms.
+        return math.log2(x + 1.0) + x * math.log1p(1.0 / x) / math.log(2.0)
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
@@ -108,12 +126,33 @@ def reference_rate(
     a = v
     b = t * v_mod + 1.0 + xi
     c_sq = t * (v * v - 1.0)
-    delta = a * a + b * b - 2.0 * c_sq
-    det = a * b - c_sq
-    disc = math.sqrt(max(delta * delta - 4.0 * det * det, 0.0))
-    nu1 = math.sqrt(max((delta + disc) / 2.0, 1.0))
-    nu2 = math.sqrt(max((delta - disc) / 2.0, 1.0))
-    if kind == HOMODYNE:
+    gap = xi - (1.0 - t) * v_mod  # b - a
+    if b > _LARGE_NOISE or abs(gap) < _NEAR_SYMMETRIC * a:
+        # The textbook delta^2 overflows past b ~ 1e77, delta - disc
+        # cancels once b >> a, and delta^2 - 4 det^2 = (b - a)^2 (...)
+        # cancels as b -> a.  nu1 - nu2 = |b - a| and nu1 nu2 = det do
+        # not, with det = a b - c^2 = v (1 - t + xi) + t, a sum of
+        # non-negative terms; det / nu1 is divided through first so that
+        # it cannot overflow.
+        sqrt_det = math.sqrt(v) * math.sqrt(1.0 - t + xi + t / v)
+        half_gap = abs(gap) / 2.0
+        nu1 = max(half_gap + math.hypot(half_gap, sqrt_det), 1.0)
+        nu2 = max(v * ((1.0 - t + xi) / nu1) + t / nu1, 1.0)
+    else:
+        delta = a * a + b * b - 2.0 * c_sq
+        det = a * b - c_sq
+        disc = math.sqrt(max(delta * delta - 4.0 * det * det, 0.0))
+        nu1 = math.sqrt(max((delta + disc) / 2.0, 1.0))
+        nu2 = math.sqrt(max((delta - disc) / 2.0, 1.0))
+    if b > _LARGE_NOISE:
+        # a - c^2 / b cancels there too; det (sqrt_det is set above for
+        # every b > _LARGE_NOISE) and (b + 1) - t (v + 1) = 2 (1 - t) + xi
+        # do not.
+        if kind == HOMODYNE:
+            nu3 = max(math.sqrt(v / b) * sqrt_det, 1.0)
+        else:
+            nu3 = 1.0 + v_mod * ((2.0 * (1.0 - t) + xi) / (b + 1.0))
+    elif kind == HOMODYNE:
         nu3 = math.sqrt(max(a * (a - c_sq / b), 1.0))
     else:
         nu3 = max(a - c_sq / (b + 1.0), 1.0)
@@ -274,12 +313,13 @@ class ScanRow:
     status: str
 
     def to_json_dict(self) -> dict:
+        # A failed point's NaN rate is written as null; the status says why.
         return {
             "loss_db": self.loss_db,
             "scenario": self.scenario,
             "t_eff": self.t_eff,
             "xi_eff": self.xi_eff,
-            "rate": self.rate,
+            "rate": self.rate if math.isfinite(self.rate) else None,
             "status": self.status,
         }
 

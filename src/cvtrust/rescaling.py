@@ -175,6 +175,10 @@ def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
         nu = (4.0 * variance - 1.0) / 2.0
     else:
         nu = 2.0 * variance - 1.0
+    if not math.isfinite(nu):
+        raise ValueError(
+            f"vacuum-probe variance {variance} is too large: its noise product overflows"
+        )
     return _checked_nu(max(nu, 0.0))
 
 

@@ -145,7 +145,7 @@ def test_criterion_5_noisy_detector_density_oracle():
             for nbar in (0.3, 2.0):
                 hom_spec = DetectorSpec(HOMODYNE, eta_d, nbar=nbar)
                 density = noisy_measurement_density(coherent_state(alpha), hom_spec)
-                sigma = float(np.sqrt(density.cov[0, 0]))
+                sigma = float(np.sqrt(density.variance))
                 grid = np.linspace(
                     density.mean[0] - 6 * sigma, density.mean[0] + 6 * sigma, 41
                 )
@@ -154,7 +154,7 @@ def test_criterion_5_noisy_detector_density_oracle():
 
                 het_spec = DetectorSpec(HETERODYNE, eta_d, nbar=nbar)
                 density = noisy_measurement_density(coherent_state(alpha), het_spec)
-                sigma = float(np.sqrt(density.cov[0, 0]))
+                sigma = float(np.sqrt(density.variance))
                 axis = np.linspace(-3 * sigma, 3 * sigma, 13)
                 cgrid = (
                     density.mean[0] + axis[:, None] + 1j * (density.mean[1] + axis[None, :])

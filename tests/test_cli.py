@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import cvtrust
-from cvtrust.cli import main
+from cvtrust.cli import _json_text, main
 
 pytestmark = pytest.mark.usefixtures("isolated_output_dir")
 
@@ -317,6 +318,69 @@ def test_scan_rejects_oversized_or_non_finite_loss_grids(capsys, tmp_path, loss_
     assert list(tmp_path.iterdir()) == []
 
 
+def test_scan_reports_no_key_at_huge_excess_noise(capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys,
+        "scan",
+        "--eta-d", "0.7", "--two-nu", "1e-3", "--xi0", "1e20", "--loss-db", "0,3",
+        "--out", "noisy",
+    )
+    assert code == 0
+    payload = json.loads((tmp_path / "noisy.json").read_text(), parse_constant=pytest.fail)
+    assert len(payload["rows"]) == 6
+    for row in payload["rows"]:
+        assert row["status"] == "ok"
+        assert row["rate"] == 0.0
+
+
+def test_scan_writes_a_failed_point_as_null(capsys, tmp_path):
+    # eta_d = 1e-100 at 3000 dB leaves a t_eff that underflows to 0, which
+    # the rate function rejects; the row keeps its error status and the
+    # report stays strict JSON.
+    code, _, _ = run_cli(
+        capsys,
+        "scan",
+        "--eta-d", "1e-100", "--nu", "0", "--loss-db", "3000", "--out", "failed",
+    )
+    assert code == 0
+    payload = json.loads((tmp_path / "failed.json").read_text(), parse_constant=pytest.fail)
+    rows = {row["scenario"]: row for row in payload["rows"]}
+    assert rows["ideal"]["status"] == "ok"
+    for scenario in ("trusted", "untrusted"):
+        assert rows[scenario]["status"].startswith("error: t_eff")
+        assert rows[scenario]["rate"] is None
+    assert "nan" in (tmp_path / "failed.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--eta-d", "0.7", "--two-nu", "1e-3", "--va", "1e308", "--loss-db", "0,3"),
+        ("verify", "--tv-tol", "inf", "--amplitudes", "1", "--phases", "1"),
+        ("verify", "--param-tol", "inf", "--amplitudes", "1", "--phases", "1"),
+        ("verify", "--amplitudes", "inf", "--phases", "1", "--eta-d", "0.7", "--nu", "1e-3"),
+        ("verify", "--amplitudes", "nan", "--phases", "1", "--eta-d", "0.7", "--nu", "1e-3"),
+        # The cap is checked when the config is built, before any draw; in
+        # analytic mode an uncapped count would not allocate either.
+        ("verify", "--mc-samples", "10000000000", "--amplitudes", "1", "--phases", "1"),
+        ("verify", "--mc-samples", "10000001", "--amplitudes", "1", "--phases", "1"),
+    ],
+)
+def test_inputs_that_would_reach_a_report_as_nan_or_infinity_exit_2(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", "bad")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_writer_refuses_nan_and_infinity():
+    assert _json_text({"rate": 0.5}) == '{\n  "rate": 0.5\n}\n'
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            _json_text({"rate": bad})
+
+
 def test_scan_needs_detectors(capsys):
     code, _, err = run_cli(capsys, "scan", "--loss-db", "0:10:5")
     assert code == 2
@@ -351,6 +415,22 @@ def test_calibrate_rejects_a_non_finite_variance(capsys, tmp_path, variance):
     assert code == 2
     assert out == ""
     assert err == f"error: vacuum-probe variance {variance} is not a finite number\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_calibrate_rejects_an_overflowing_variance(capsys, tmp_path):
+    # A finite variance whose noise product overflows is bad input (exit 2),
+    # not a failed calibration (exit 1), and the message names the variance.
+    code, out, err = run_cli(
+        capsys,
+        "calibrate",
+        "--kind", "homodyne", "--vacuum-variance", "1e308", "--out", "cal.json",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: vacuum-probe variance 1e+308 is too large: its noise product overflows\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

@@ -14,7 +14,13 @@ from cvtrust.detectors import (
     rescaled_lossy_density,
     sample_outcomes,
 )
-from cvtrust.gaussian import coherent_state, loss_channel, thermal_state, vacuum_state
+from cvtrust.gaussian import (
+    GaussianState,
+    coherent_state,
+    loss_channel,
+    thermal_state,
+    vacuum_state,
+)
 
 
 def test_spec_validation():
@@ -60,7 +66,7 @@ def test_ideal_homodyne_density_vacuum():
     density = ideal_homodyne_density(vacuum_state())
     assert density.ndim == 1
     assert np.array_equal(density.mean, [0.0])
-    assert np.array_equal(density.cov, [[0.25]])
+    assert density.variance == 0.25
     # peak value of N(0, 1/4)
     assert np.isclose(density.pdf(np.array([0.0]))[0], 0.7978845608028654, rtol=1e-15)
 
@@ -69,7 +75,7 @@ def test_ideal_heterodyne_density_adds_vacuum_unit():
     density = ideal_heterodyne_density(coherent_state(1 - 1j))
     assert density.ndim == 2
     assert np.array_equal(density.mean, [1.0, -1.0])
-    assert np.array_equal(density.cov, 0.5 * np.eye(2))
+    assert density.variance == 0.5
     assert np.isclose(density.pdf(np.array([1.0 - 1.0j]))[0], 1 / np.pi, rtol=1e-15)
 
 
@@ -77,9 +83,20 @@ def test_heterodyne_marginal_is_homodyne_variance_plus_quarter():
     state = thermal_state(1.3)
     het = ideal_heterodyne_density(state)
     hom = ideal_homodyne_density(state)
-    for component in (0, 1):
-        marg = het.marginal(component)
-        assert np.isclose(marg.variances[0], hom.variances[0] + 0.25, rtol=1e-15)
+    assert np.isclose(het.variance, hom.variance + 0.25, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "cov", [np.diag([0.125, 0.5]), np.array([[0.3, 0.05], [0.05, 0.3]])]
+)
+def test_ideal_heterodyne_density_rejects_a_squeezed_state(cov):
+    # Only phase-insensitive states give the equal-variance density that
+    # OutcomeDensity describes; the homodyne x marginal is still defined.
+    state = GaussianState(np.zeros(2), cov)
+    assert state.is_physical()
+    with pytest.raises(ValueError, match="phase-insensitive"):
+        ideal_heterodyne_density(state)
+    assert ideal_homodyne_density(state).variance == cov[0, 0]
 
 
 def test_noisy_homodyne_moments():
@@ -87,7 +104,7 @@ def test_noisy_homodyne_moments():
     density = noisy_measurement_density(coherent_state(2 + 1j), spec)
     assert np.allclose(density.mean, [np.sqrt(0.7) * 2], rtol=1e-15)
     # (1 + 2 nbar (1 - eta_d)) / 4
-    assert np.isclose(density.cov[0, 0], 0.37, rtol=1e-14)
+    assert np.isclose(density.variance, 0.37, rtol=1e-14)
 
 
 def test_noisy_heterodyne_moments():
@@ -95,7 +112,7 @@ def test_noisy_heterodyne_moments():
     density = noisy_measurement_density(coherent_state(2 + 1j), spec)
     assert np.allclose(density.mean, np.sqrt(0.7) * np.array([2.0, 1.0]), rtol=1e-15)
     # (1 + nbar (1 - eta_d)) / 2 per component
-    assert np.allclose(density.cov, 0.62 * np.eye(2), rtol=1e-14)
+    assert np.isclose(density.variance, 0.62, rtol=1e-14)
 
 
 def test_noiseless_detector_reduces_to_ideal_after_loss():
@@ -104,14 +121,14 @@ def test_noiseless_detector_reduces_to_ideal_after_loss():
     via_spec = noisy_measurement_density(state, spec)
     via_loss = ideal_heterodyne_density(loss_channel(state, 0.55))
     assert np.array_equal(via_spec.mean, via_loss.mean)
-    assert np.array_equal(via_spec.cov, via_loss.cov)
+    assert via_spec.variance == via_loss.variance
 
 
 def test_scaled_is_a_pushforward():
     density = ideal_homodyne_density(coherent_state(1.0))
     scaled = density.scaled(1.1)
     assert np.isclose(scaled.mean[0], 1.1, rtol=1e-15)
-    assert np.isclose(scaled.cov[0, 0], 0.25 * 1.1**2, rtol=1e-15)
+    assert np.isclose(scaled.variance, 0.25 * 1.1**2, rtol=1e-15)
     # densities agree after the change of variables
     points = np.linspace(-3, 3, 7)
     assert np.allclose(scaled.pdf(1.1 * points) * 1.1, density.pdf(points), rtol=1e-13)
@@ -127,7 +144,7 @@ def test_rescaled_lossy_matches_physical_noisy_homodyne():
     noisy = noisy_measurement_density(state, spec)
     rescaled = rescaled_lossy_density(state, HOMODYNE, spec.eta_d / r**2, r)
     assert np.allclose(rescaled.mean, noisy.mean, rtol=1e-14)
-    assert np.allclose(rescaled.cov, noisy.cov, rtol=1e-14)
+    assert np.isclose(rescaled.variance, noisy.variance, rtol=1e-14)
 
 
 def test_rescaled_lossy_matches_physical_noisy_heterodyne():
@@ -138,7 +155,7 @@ def test_rescaled_lossy_matches_physical_noisy_heterodyne():
     noisy = noisy_measurement_density(state, spec)
     rescaled = rescaled_lossy_density(state, HETERODYNE, spec.eta_d / r**2, r)
     assert np.allclose(rescaled.mean, noisy.mean, rtol=1e-14)
-    assert np.allclose(rescaled.cov, noisy.cov, rtol=1e-14)
+    assert np.isclose(rescaled.variance, noisy.variance, rtol=1e-14)
 
 
 def test_rescaled_lossy_rejects_contraction():
@@ -148,25 +165,24 @@ def test_rescaled_lossy_rejects_contraction():
 
 def test_density_validation():
     with pytest.raises(ValueError):
-        OutcomeDensity(np.zeros(3), np.eye(3))
+        OutcomeDensity(np.zeros(3), 1.0)
     with pytest.raises(ValueError):
-        OutcomeDensity(np.zeros(2), np.diag([1.0, -1.0]))
+        OutcomeDensity(np.zeros(2), -1.0)
     with pytest.raises(ValueError):
-        OutcomeDensity(np.zeros(1), np.zeros((1, 1)))
-
-
-def test_marginal_component_bounds():
-    density = ideal_heterodyne_density(vacuum_state())
+        OutcomeDensity(np.zeros(1), 0.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            OutcomeDensity(np.zeros(2), bad)
+    density = OutcomeDensity(0.5, 2)
+    assert density.mean.shape == (1,) and density.variance == 2.0
     with pytest.raises(ValueError):
-        density.marginal(2)
-    with pytest.raises(ValueError):
-        ideal_homodyne_density(vacuum_state()).marginal(1)
+        density.mean[0] = 1.0
 
 
 def test_pdf_normalization_1d():
     spec = DetectorSpec(HOMODYNE, 0.8, nbar=2.0)
     density = noisy_measurement_density(thermal_state(0.5), spec)
-    sigma = np.sqrt(density.cov[0, 0])
+    sigma = np.sqrt(density.variance)
     grid = np.linspace(-10 * sigma, 10 * sigma, 20001)
     total = np.trapezoid(density.pdf(grid), grid)
     assert abs(total - 1.0) < 1e-10
@@ -175,7 +191,7 @@ def test_pdf_normalization_1d():
 def test_pdf_normalization_2d():
     spec = DetectorSpec(HETERODYNE, 0.8, nbar=2.0)
     density = noisy_measurement_density(coherent_state(0.5j), spec)
-    sigma = np.sqrt(np.max(density.variances))
+    sigma = np.sqrt(density.variance)
     axis = np.linspace(-9 * sigma, 9 * sigma, 801)
     dx = axis[1] - axis[0]
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
@@ -196,8 +212,8 @@ def test_noisy_density_moments_property(eta_d, nbar, re, im):
     hom = noisy_measurement_density(state, DetectorSpec(HOMODYNE, eta_d, nbar=nbar))
     het = noisy_measurement_density(state, DetectorSpec(HETERODYNE, eta_d, nbar=nbar))
     nu = nbar * (1 - eta_d)
-    assert np.isclose(hom.cov[0, 0], (1 + 2 * nu) / 4, rtol=1e-13)
-    assert np.allclose(np.diag(het.cov), (1 + nu) / 2, rtol=1e-13)
+    assert np.isclose(hom.variance, (1 + 2 * nu) / 4, rtol=1e-13)
+    assert np.isclose(het.variance, (1 + nu) / 2, rtol=1e-13)
     assert np.isclose(hom.mean[0], np.sqrt(eta_d) * re, rtol=1e-13, atol=1e-15)
 
 
@@ -208,6 +224,21 @@ def test_sample_outcomes_deterministic_per_stream():
     c = sample_outcomes(density, 16, seed=7, stream=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 7, 100_001])
+def test_sample_outcomes_heterodyne_equals_cholesky_draws(seed, n):
+    # Scaling both normal columns by sigma is the Cholesky draw of the
+    # isotropic covariance sigma^2 I, bit for bit.
+    spec = DetectorSpec.from_noise_product(HETERODYNE, 0.7, nu=1e-2)
+    density = noisy_measurement_density(coherent_state(3.0 - 1.0j), spec)
+    rng = np.random.default_rng((seed, 5))
+    chol = np.linalg.cholesky(density.variance * np.eye(2))
+    z = rng.standard_normal((n, 2)) @ chol.T + density.mean
+    expected = z[:, 0] + 1j * z[:, 1]
+    drawn = sample_outcomes(density, n, seed, stream=5)
+    assert drawn.tobytes() == expected.tobytes()
 
 
 def test_sample_outcomes_heterodyne_is_complex():

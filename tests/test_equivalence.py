@@ -10,17 +10,18 @@ from cvtrust.detectors import (
     HOMODYNE,
     DetectorSpec,
     OutcomeDensity,
+    ideal_heterodyne_density,
     noisy_measurement_density,
     rescaled_lossy_density,
     sample_outcomes,
 )
-from cvtrust.gaussian import coherent_state
+from cvtrust.gaussian import GaussianState, coherent_state
 from cvtrust.rescaling import rescale_plan
 from cvtrust.equivalence import (
     CSV_COLUMNS,
+    MAX_MC_SAMPLES,
     SweepConfig,
     _ks_cell,
-    _ks_two_sample,
     _tv_distance,
     analytic_sweep,
     mixture_quadrature_oracle,
@@ -70,6 +71,21 @@ def test_sweep_config_validation():
         small_config(param_tol=0.0)
     with pytest.raises(ValueError):
         small_config(ks_alpha=1.0)
+
+
+def test_sweep_config_rejects_non_finite_inputs_and_oversized_samples():
+    for name in ("param_tol", "tv_tol"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=name):
+                small_config(**{name: bad})
+    for alpha in (complex(math.inf, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            small_config(alphas=(1.0, alpha))
+    assert small_config(mc_samples=MAX_MC_SAMPLES).mc_samples == MAX_MC_SAMPLES
+    # a config file may hold any JSON number, 1e400 included
+    for bad in (MAX_MC_SAMPLES + 1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="between 0 and"):
+            small_config(mc_samples=bad)
 
 
 def test_sweep_config_json_roundtrip():
@@ -164,7 +180,7 @@ def test_report_json_summary():
 
 def _gaussian(mean, var):
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    return OutcomeDensity(mean, var * np.eye(mean.size))
+    return OutcomeDensity(mean, var)
 
 
 def _tv_by_quadrature(m1, v1, m2, v2, n):
@@ -246,9 +262,11 @@ def test_tv_distance_far_apart_and_unsupported_shapes():
     assert _tv_distance(_gaussian(0.0, 0.25), _gaussian(50.0, 0.25)) == 1.0
     huge = _tv_distance(_gaussian((1e200, 0.0), 0.5), _gaussian((0.0, 1e200), 0.5001))
     assert huge == 1.0
-    squeezed = OutcomeDensity(np.zeros(2), np.diag([0.25, 0.5]))
-    with pytest.raises(ValueError, match="isotropic"):
-        _tv_distance(squeezed, _gaussian((0.1, 0.0), 0.25))
+    # A squeezed probe has no equal-variance heterodyne density, so a
+    # non-isotropic pair never reaches the closed form.
+    squeezed = GaussianState(np.zeros(2), np.diag([0.125, 0.5]))
+    with pytest.raises(ValueError, match="phase-insensitive"):
+        ideal_heterodyne_density(squeezed)
 
 
 @pytest.mark.parametrize("decimals", [None, 2])
@@ -261,14 +279,14 @@ def test_merge_rank_ks_matches_scipy_in_asymptotic_regime(decimals):
         xs, ys = np.round(xs, decimals), np.round(ys, decimals)
     for a, b in ((xs, ys), (ys, xs), (xs, xs[: 10_001][::-1])):
         expected = ks_2samp(a, b)
-        assert _ks_two_sample(a, b) == (expected.statistic, expected.pvalue)
+        assert _ks_cell([(a, b)]) == (expected.statistic, expected.pvalue)
 
 
 def test_merge_rank_ks_keeps_exact_pvalues_up_to_1e4():
     rng = np.random.default_rng(12)
     xs, ys = rng.standard_normal(10_000), rng.standard_normal(9_000)
     expected = ks_2samp(xs, ys)
-    assert _ks_two_sample(xs, ys) == (expected.statistic, expected.pvalue)
+    assert _ks_cell([(xs, ys)]) == (expected.statistic, expected.pvalue)
 
 
 @pytest.mark.parametrize("r_used", ["faithful", 1.0])
@@ -284,7 +302,7 @@ def test_ks_cell_single_tail_call_equals_two_call_minimum(seed, r_used):
     a = sample_outcomes(noisy_measurement_density(state, spec), n, seed, 0) / r
     b = sample_outcomes(rescaled_lossy_density(state, HETERODYNE, plan.eta_e, 1.0), n, seed, 1)
     pairs = [(a.real, b.real), (a.imag, b.imag)]
-    per_component = [_ks_two_sample(xs, ys) for xs, ys in pairs]
+    per_component = [ks_2samp(xs, ys) for xs, ys in pairs]
     expected = (
         max(stat for stat, _ in per_component),
         min(1.0, 2 * min(p for _, p in per_component)),
@@ -358,7 +376,7 @@ def test_gaussian_weight_nodes_normalization():
 def test_mixture_quadrature_oracle_matches_homodyne_engine():
     spec = DetectorSpec(HOMODYNE, 0.85, nbar=0.3)
     density = noisy_measurement_density(coherent_state(1.5 + 0.5j), spec)
-    sigma = np.sqrt(density.cov[0, 0])
+    sigma = np.sqrt(density.variance)
     grid = np.linspace(density.mean[0] - 6 * sigma, density.mean[0] + 6 * sigma, 61)
     table = mixture_quadrature_oracle(1.5 + 0.5j, spec, grid)
     assert table.error_estimate <= 1e-9
@@ -378,7 +396,7 @@ def test_mixture_quadrature_oracle_matches_heterodyne_engine():
 def test_mixture_quadrature_oracle_total_variation_bound():
     spec = DetectorSpec(HOMODYNE, 0.7, nbar=1.0)
     density = noisy_measurement_density(coherent_state(2.0), spec)
-    sigma = np.sqrt(density.cov[0, 0])
+    sigma = np.sqrt(density.variance)
     grid = np.linspace(density.mean[0] - 8 * sigma, density.mean[0] + 8 * sigma, 2001)
     table = mixture_quadrature_oracle(2.0, spec, grid)
     tv = 0.5 * np.trapezoid(np.abs(table.density - density.pdf(grid)), grid)

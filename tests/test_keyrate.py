@@ -1,4 +1,6 @@
+import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +85,97 @@ def test_reference_rate_is_nonnegative_and_finite(t, xi, kind):
     rate = reference_rate(t, xi, kind)
     assert math.isfinite(rate)
     assert rate >= 0.0
+
+
+def test_rate_params_rejects_an_overflowing_modulation_variance():
+    assert RateParams(modulation_variance=1e154).modulation_variance == 1e154
+    for bad in (1.4e154, 1e308, math.inf):
+        with pytest.raises(ValueError, match="overflows"):
+            RateParams(modulation_variance=bad)
+
+
+def test_reference_rate_is_zero_at_huge_excess_noise():
+    # The textbook entropy (x+1) log2(x+1) - x log2 x collapses once x + 1
+    # rounds to x, which used to leave 2.7549 bits at any xi_eff above ~6e16.
+    for xi in (1e9, 5.6e16, 1e20, 1e60, 1e77, 1e100, 1e300, sys.float_info.max):
+        for t in (1e-12, 0.5, 1.0):
+            for kind in (HOMODYNE, HETERODYNE):
+                assert reference_rate(t, xi, kind) == 0.0
+
+
+def _rate_by_decimal(t, xi, kind, v_mod):
+    """The textbook rate formula evaluated with 700 significant digits."""
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=700, Emax=10**6, Emin=-(10**6))):
+        t, xi, v_mod = D(t), D(xi), D(v_mod)
+        ln2 = D(2).ln()
+        a = v_mod + 1
+        b = t * v_mod + 1 + xi
+        c_sq = t * (a * a - 1)
+        if kind == HOMODYNE:
+            mutual_information = (1 + t * v_mod / (1 + xi)).ln() / (2 * ln2)
+            nu3 = (a * (a - c_sq / b)).sqrt()
+        else:
+            mutual_information = (1 + t * v_mod / (2 + xi)).ln() / ln2
+            nu3 = a - c_sq / (b + 1)
+        delta = a * a + b * b - 2 * c_sq
+        det = a * b - c_sq
+        disc = (delta * delta - 4 * det * det).sqrt()
+
+        def entropy(nu):
+            x = (nu - 1) / 2
+            return D(0) if x <= 0 else ((x + 1) * (x + 1).ln() - x * x.ln()) / ln2
+
+        holevo = (
+            entropy(((delta + disc) / 2).sqrt())
+            + entropy(((delta - disc) / 2).sqrt())
+            - entropy(nu3)
+        )
+        return float(max(D(0.95) * mutual_information - holevo, D(0)))
+
+
+@pytest.mark.parametrize("kind", [HOMODYNE, HETERODYNE])
+@pytest.mark.parametrize(
+    "t, xi, v_mod, tol",
+    [
+        (0.5, 0.05, 4.0, 1e-13),
+        # b close to a, where the textbook delta^2 - 4 det^2 cancels (it
+        # was off by 5.7e-7 bits at the first two points)
+        (1.0, 1e-15, 4.0, 1e-13),
+        (1.0, 1e-13, 4.0, 1e-13),
+        (1.0, 1e-14, 4.0, 1e-13),
+        (1 - 1e-12, 4e-12, 4.0, 1e-13),
+        (0.9999, 4e-4, 4.0, 1e-13),
+        # b above 1e8: huge noise, or a huge modulation variance
+        (0.5, 1e20, 4.0, 0.0),
+        (0.5, 1e300, 4.0, 0.0),
+        (0.9, 0.01, 1e9, 1e-8),
+        (1.0, 0.01, 1e9, 1e-8),
+        (0.99, 0.02, 1e12, 1e-8),
+    ],
+)
+def test_reference_rate_matches_a_high_precision_evaluation(t, xi, v_mod, tol, kind):
+    rate = reference_rate(t, xi, kind, RateParams(modulation_variance=v_mod))
+    assert rate == pytest.approx(_rate_by_decimal(t, xi, kind, v_mod), rel=0, abs=tol)
+
+
+_EXCESS_NOISE = st.one_of(st.just(0.0), st.floats(-300, 300).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=st.floats(1e-12, 1.0, exclude_min=True),
+    xis=st.lists(_EXCESS_NOISE, min_size=2, max_size=2),
+    kind=st.sampled_from([HOMODYNE, HETERODYNE]),
+)
+def test_reference_rate_is_finite_and_non_increasing_in_noise(t, xis, kind):
+    lo, hi = sorted(xis)
+    rate_lo, rate_hi = reference_rate(t, lo, kind), reference_rate(t, hi, kind)
+    assert math.isfinite(rate_lo) and math.isfinite(rate_hi)
+    assert rate_lo >= 0.0 and rate_hi >= 0.0
+    # Up to rounding: the textbook forms kept for moderate noise carry up
+    # to about 4e-11 bits of it where b is within a few percent of a.
+    assert rate_hi <= rate_lo + 1e-9
 
 
 def test_reference_rate_monotone_in_noise_and_loss():

@@ -152,6 +152,12 @@ def test_noise_figure_floor_is_exact():
         noise_figure_from_vacuum_variance(1e308, HOMODYNE)
 
 
+def test_noise_figure_names_a_variance_whose_noise_product_overflows():
+    with pytest.raises(ValueError, match="variance 1e[+]308 is too large"):
+        noise_figure_from_vacuum_variance(1e308, HOMODYNE)
+    assert math.isfinite(noise_figure_from_vacuum_variance(5e307, HETERODYNE))
+
+
 @pytest.mark.parametrize("variance", [math.inf, -math.inf, math.nan])
 def test_noise_figure_rejects_a_non_finite_variance(variance):
     for kind in (HOMODYNE, HETERODYNE):
