@@ -20,12 +20,13 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
+import warnings
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .detectors import KINDS, DetectorSpec
+from .detectors import HOMODYNE, KINDS, DetectorSpec
 from .equivalence import (
     SABOTAGE_MODES,
     SweepConfig,
@@ -245,9 +246,7 @@ def _scan_config_from_args(args: argparse.Namespace) -> ScanConfig:
             _detector_from_noise_flags(kind, args.eta_d, args.nbar, args.nu, args.two_nu)
             for kind in kinds
         )
-        config_data["detectors"] = [
-            {"kind": d.kind, "eta_d": d.eta_d, "nbar": d.nbar} for d in detectors
-        ]
+        config_data["detectors"] = [asdict(d) for d in detectors]
         config_data["protocol"] = protocol
     elif args.protocol is not None:
         config_data["protocol"] = args.protocol
@@ -265,13 +264,13 @@ def _scan_config_from_args(args: argparse.Namespace) -> ScanConfig:
         config_data["scenarios"] = args.scenarios.split(",")
     if args.rate is not None:
         config_data["rate_name"] = args.rate
-    rate_params = dict(config_data.get("rate_params", {}))
-    if args.va is not None:
-        rate_params["modulation_variance"] = args.va
-    if args.beta is not None:
-        rate_params["reconciliation_efficiency"] = args.beta
-    if rate_params:
-        config_data["rate_params"] = rate_params
+    rate_flags = (("modulation_variance", args.va), ("reconciliation_efficiency", args.beta))
+    overrides = {name: value for name, value in rate_flags if value is not None}
+    if overrides:
+        rate_params = config_data.get("rate_params", {})
+        if not isinstance(rate_params, dict):
+            raise ValueError("malformed scan config: rate_params must be an object")
+        config_data["rate_params"] = {**rate_params, **overrides}
     return ScanConfig.from_json_dict(config_data)
 
 
@@ -303,21 +302,19 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         variance = args.vacuum_variance
     else:
         try:
-            data = np.loadtxt(args.samples)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty file is reported below
+                data = np.loadtxt(args.samples, ndmin=2)
         except OSError as exc:
             raise ValueError(f"cannot read samples file: {exc}") from exc
-        if data.ndim == 1:
-            if args.kind != "homodyne":
-                raise ValueError(
-                    "heterodyne calibration needs two columns (Re, Im) per line"
-                )
-            variance = float(np.var(data, ddof=1))
-        elif data.ndim == 2 and data.shape[1] == 2:
-            if args.kind != "heterodyne":
-                raise ValueError("homodyne calibration needs one column per line")
-            variance = float(np.mean(np.var(data, axis=0, ddof=1)))
-        else:
-            raise ValueError("samples file must have one or two columns")
+        columns = 1 if args.kind == HOMODYNE else 2
+        if data.shape[1] != columns or len(data) < 2:
+            raise ValueError(
+                f"{args.kind} samples need {columns} column(s) and at least 2 lines; "
+                f"the file has {len(data)} line(s) of {data.shape[1]} column(s)"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite: reported below
+            variance = float(np.var(data, axis=0, ddof=1).mean())
     try:
         nu = noise_figure_from_vacuum_variance(variance, args.kind)
     except ValueError as exc:

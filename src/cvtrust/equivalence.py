@@ -25,7 +25,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -101,8 +102,11 @@ class SweepConfig:
             raise ValueError("coherent amplitudes must be finite")
         if not 0 <= float(self.mc_samples) <= MAX_MC_SAMPLES:
             raise ValueError(f"mc_samples must lie between 0 and {MAX_MC_SAMPLES}")
-        object.__setattr__(self, "mc_samples", int(self.mc_samples))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name in ("mc_samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         for name in ("param_tol", "tv_tol"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
@@ -117,16 +121,8 @@ class SweepConfig:
     def to_json_dict(self) -> dict:
         return {
             "schema": "cvtrust/verify-config/1",
+            **asdict(self),
             "alphas": [[a.real, a.imag] for a in self.alphas],
-            "specs": [
-                {"kind": s.kind, "eta_d": s.eta_d, "nbar": s.nbar} for s in self.specs
-            ],
-            "mc_samples": self.mc_samples,
-            "seed": self.seed,
-            "param_tol": self.param_tol,
-            "tv_tol": self.tv_tol,
-            "ks_alpha": self.ks_alpha,
-            "sabotage": self.sabotage,
         }
 
     @classmethod
@@ -136,18 +132,14 @@ class SweepConfig:
         if schema != "cvtrust/verify-config/1":
             raise ValueError(f"unsupported sweep config schema {schema!r}")
         try:
-            alphas = tuple(complex(re, im) for re, im in data.pop("alphas"))
-            specs = tuple(
-                DetectorSpec(s["kind"], s["eta_d"], s["nbar"])
-                for s in data.pop("specs")
-            )
-        except (KeyError, TypeError) as exc:
+            data["alphas"] = tuple(complex(re, im) for re, im in data["alphas"])
+            data["specs"] = tuple(DetectorSpec(**s) for s in data["specs"])
+            unknown = set(data) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
+            return cls(**data)
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed sweep config: {exc}") from exc
-        known = {"mc_samples", "seed", "param_tol", "tv_tol", "ks_alpha", "sabotage"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-        return cls(alphas=alphas, specs=specs, **data)
 
 
 @dataclass(frozen=True)
@@ -436,22 +428,24 @@ def _ks_cell(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
     """Largest KS statistic over a cell's components and its cell p-value.
 
     The cell p-value is the Bonferroni combination min(1, k min_j p_j)
-    over the k components, each p_j equal to ks_2samp's.  Up to 10^4
-    draws per sample ks_2samp runs per component for its exact p-value.
-    Above that every component has the same sample sizes and the
-    asymptotic p-value falls as the merge-rank statistic grows, so the
-    smallest p_j is the one at the largest statistic and the tail
-    probability is evaluated once.
+    over the k components, each p_j equal to ks_2samp's.  Every component
+    has the same sample sizes, and at fixed sizes the p-value falls as the
+    statistic grows, so only the component with the largest merge-rank
+    statistic is tested.  Up to 10^4 draws per sample one ks_2samp call
+    gives its statistic and exact p-value (its exact route rounds the
+    statistic, so the merge-rank value would differ in the last bits);
+    above that the asymptotic tail probability is evaluated once.
     """
     n1, n2 = len(pairs[0][0]), len(pairs[0][1])
+    stats = [_merge_rank_statistic(xs, ys) for xs, ys in pairs]
+    k = int(np.argmax(stats))
     if max(n1, n2) <= _KS_EXACT_MAX_N:
         from scipy.stats import ks_2samp
 
-        results = [ks_2samp(xs, ys) for xs, ys in pairs]
-        stat = max(float(r.statistic) for r in results)
-        pmin = min(float(r.pvalue) for r in results)
+        result = ks_2samp(*pairs[k])
+        stat, pmin = float(result.statistic), float(result.pvalue)
     else:
-        stat = max(_merge_rank_statistic(xs, ys) for xs, ys in pairs)
+        stat = stats[k]
         pmin = _asymptotic_pvalue(stat, n1, n2)
     return stat, min(1.0, len(pairs) * pmin)
 

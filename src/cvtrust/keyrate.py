@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -57,10 +57,7 @@ class RateParams:
             raise ValueError("reconciliation_efficiency must lie in (0, 1]")
 
     def to_json_dict(self) -> dict:
-        return {
-            "modulation_variance": self.modulation_variance,
-            "reconciliation_efficiency": self.reconciliation_efficiency,
-        }
+        return asdict(self)
 
 
 # reference_rate leaves its textbook forms, which cancel or overflow,
@@ -252,21 +249,7 @@ class ScanConfig:
         return HETERODYNE if self.protocol == "heterodyne" else HOMODYNE
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "cvtrust/scan-config/1",
-            "loss_db": list(self.loss_db),
-            "xi0": self.xi0,
-            "detectors": [
-                {"kind": d.kind, "eta_d": d.eta_d, "nbar": d.nbar}
-                for d in self.detectors
-            ],
-            "scenarios": list(self.scenarios),
-            "protocol": self.protocol,
-            "rate_name": self.rate_name,
-            "rate_params": self.rate_params.to_json_dict(),
-            "epsilon_sec": self.epsilon_sec,
-            "pulse_count": self.pulse_count,
-        }
+        return {"schema": "cvtrust/scan-config/1", **asdict(self)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScanConfig":
@@ -275,30 +258,15 @@ class ScanConfig:
         if schema != "cvtrust/scan-config/1":
             raise ValueError(f"unsupported scan config schema {schema!r}")
         try:
-            detectors = tuple(
-                DetectorSpec(d["kind"], d["eta_d"], d["nbar"])
-                for d in data.pop("detectors")
-            )
-            loss_db = tuple(data.pop("loss_db"))
-        except (KeyError, TypeError) as exc:
+            data["detectors"] = tuple(DetectorSpec(**d) for d in data["detectors"])
+            if "rate_params" in data:
+                data["rate_params"] = RateParams(**data["rate_params"])
+            unknown = set(data) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ValueError(f"unknown scan config keys: {sorted(unknown)}")
+            return cls(**data)
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed scan config: {exc}") from exc
-        if "rate_params" in data:
-            data["rate_params"] = RateParams(**data["rate_params"])
-        if "scenarios" in data:
-            data["scenarios"] = tuple(data["scenarios"])
-        known = {
-            "xi0",
-            "scenarios",
-            "protocol",
-            "rate_name",
-            "rate_params",
-            "epsilon_sec",
-            "pulse_count",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown scan config keys: {sorted(unknown)}")
-        return cls(loss_db=loss_db, detectors=detectors, **data)
 
 
 @dataclass(frozen=True)

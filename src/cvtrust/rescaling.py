@@ -21,7 +21,7 @@ component for heterodyne.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec
 
@@ -78,14 +78,7 @@ class RescalePlan:
         return NOISE_FACTOR[self.kind] * self.nu
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "eta_d": self.eta_d,
-            "nbar": self.nbar,
-            "nu": self.nu,
-            "r": self.r,
-            "eta_e": self.eta_e,
-        }
+        return asdict(self)
 
 
 def rescale_plan(spec: DetectorSpec) -> RescalePlan:

@@ -1,15 +1,26 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cvtrust
 from cvtrust.cli import _json_text, main
+from cvtrust.detectors import KINDS, DetectorSpec
+from cvtrust.equivalence import MAX_MC_SAMPLES, SABOTAGE_MODES, SweepConfig
+from cvtrust.keyrate import PROTOCOLS, RATE_FUNCTIONS, RateParams, ScanConfig
+from cvtrust.rescaling import rescale_plan
 
 pytestmark = pytest.mark.usefixtures("isolated_output_dir")
 
@@ -374,6 +385,56 @@ def test_inputs_that_would_reach_a_report_as_nan_or_infinity_exit_2(capsys, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
+_VERIFY_BASE = {
+    "alphas": [[1.0, 0.0]],
+    "specs": [{"kind": "homodyne", "eta_d": 0.7, "nbar": 0.01}],
+}
+_SCAN_BASE = {
+    "detectors": [{"kind": "heterodyne", "eta_d": 0.7, "nbar": 0.01}],
+    "loss_db": [0, 3],
+}
+
+
+@pytest.mark.parametrize(
+    "command, value, flags",
+    [
+        ("verify", '"seed": 1e400', ()),
+        ("verify", '"seed": 1.5', ()),
+        ("verify", '"tv_tol": "x"', ()),
+        ("verify", '"ks_alpha": null', ()),
+        ("scan", '"xi0": "0.1"', ()),
+        ("scan", '"rate_params": {"modulation_variance": "4"}', ()),
+        ("scan", '"rate_params": [1]', ()),
+        ("scan", '"rate_params": [1]', ("--va", "5")),
+        ("scan", '"scenarios": 5', ()),
+    ],
+)
+def test_malformed_config_values_exit_2(capsys, tmp_path, command, value, flags):
+    base = json.dumps(_VERIFY_BASE if command == "verify" else _SCAN_BASE)
+    config = tmp_path / "config.json"
+    config.write_text(base[:-1] + ", " + value + "}")
+    code, out, err = run_cli(capsys, command, "--config", str(config), *flags, "--out", "bad")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "obj, schema",
+    [
+        (SweepConfig(alphas=(1j,), specs=(DetectorSpec("homodyne", 0.7, 0.01),)), True),
+        (ScanConfig(loss_db=(0.0,), xi0=0.0, detectors=(DetectorSpec("heterodyne", 0.7),)), True),
+        (RateParams(), False),
+        (rescale_plan(DetectorSpec("heterodyne", 0.7, 0.01)), False),
+    ],
+    ids=["SweepConfig", "ScanConfig", "RateParams", "RescalePlan"],
+)
+def test_json_dict_keys_are_the_dataclass_fields(obj, schema):
+    keys = {f.name for f in fields(obj)} | ({"schema"} if schema else set())
+    assert set(obj.to_json_dict()) == keys
+
+
 def test_report_writer_refuses_nan_and_infinity():
     assert _json_text({"rate": 0.5}) == '{\n  "rate": 0.5\n}\n'
     for bad in (math.nan, math.inf, -math.inf):
@@ -492,6 +553,33 @@ def test_calibrate_column_kind_mismatch(capsys, tmp_path):
     assert "column" in err
 
 
+@pytest.mark.parametrize("kind", ["homodyne", "heterodyne"])
+@pytest.mark.parametrize("text", ["", "0.6\n", "0.6 0.4\n", "0.1 0.2 0.3\n0.4 0.5 0.6\n"])
+def test_calibrate_samples_need_one_column_per_component_and_two_lines(
+    capsys, tmp_path, kind, text
+):
+    path = tmp_path / "probe.txt"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "calibrate", "--kind", kind, "--samples", str(path), "--out", "cal.json"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_calibrate_homodyne_variance_is_the_sample_variance(capsys, tmp_path):
+    rng = np.random.default_rng(44)
+    path = tmp_path / "probe.txt"
+    for n in (2, 3, 10, 99, 1000, 4097):
+        draws = rng.normal(0.1, 0.6, size=n)
+        np.savetxt(path, draws / draws.std(ddof=1))  # above the vacuum floor
+        code, out, _ = run_cli(capsys, "calibrate", "--kind", "homodyne", "--samples", str(path))
+        assert code == 0
+        assert json.loads(out)["variance"] == float(np.var(np.loadtxt(path), ddof=1))
+
+
 def test_output_dir_env_and_absolute_paths(capsys, tmp_path, monkeypatch):
     outside = tmp_path / "elsewhere"
     outside.mkdir()
@@ -566,3 +654,173 @@ def test_only_verify_loads_scipy(tmp_path):
     assert result["codes"] == [0, 0, 0, 0]
     assert result["before_verify"] == []
     assert result["after_verify"] > 0  # the probe does see scipy once it loads
+
+
+# Every argv of the four subcommands, config and samples files included,
+# ends in one of three ways: exit 0 with strict-JSON reports, exit 1 for a
+# failing sweep or calibration, or exit 2 with one error line and no file.
+# Grids stay at two cells or fewer and Monte Carlo at 10^4 draws; caps are
+# reached only with values they reject.
+
+_BIG = "__1e400__"  # written into a config file as the bare token 1e400
+_DROP = object()  # deletes a key from the base config
+_NUM = st.one_of(
+    st.sampled_from(["0", "0.7", "1e-3", "0.25025", "1e400", "nan", "-inf", "-1"]),
+    st.floats().map(repr),
+)
+_JUNK = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 2)
+    | st.sampled_from(
+        [1.5, -0.0, 5e-324, 1e308, math.nan, math.inf, 10**400, _BIG, "x", "0.1", "homodyne"]
+    ),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(
+        st.sampled_from(
+            ["kind", "eta_d", "nbar", "modulation_variance", "reconciliation_efficiency", "x"]
+        ),
+        inner,
+        max_size=2,
+    ),
+    max_leaves=4,
+)
+
+
+def _config(draw, base, keys):
+    data = dict(base)
+    keys = st.sampled_from(keys + ("schema", "extra"))
+    edits = draw(st.dictionaries(keys, _JUNK | st.just(_DROP), max_size=2))
+    for key, value in edits.items():
+        if value is _DROP:
+            data.pop(key, None)
+        else:
+            data[key] = value
+    return json.dumps(data).replace(f'"{_BIG}"', "1e400")
+
+
+def _maybe(draw, flag, values):
+    return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
+
+
+@st.composite
+def _rescale_case(draw):
+    argv = ["rescale", f"--kind={draw(st.sampled_from(KINDS))}"]
+    for flag in ("--eta-d", "--nbar", "--nu", "--two-nu"):
+        argv += _maybe(draw, flag, _NUM)
+    if draw(st.booleans()):
+        argv.append("--limit")
+    return argv, {}
+
+
+@st.composite
+def _verify_case(draw):
+    base = {
+        "alphas": [[1.0, 0.0]],
+        "specs": [{"kind": draw(st.sampled_from(KINDS)), "eta_d": 0.7, "nbar": 0.01}],
+        "mc_samples": 10_000,
+        "mode": draw(st.sampled_from(["analytic", "mc"])),
+    }
+    keys = tuple(f.name for f in fields(SweepConfig)) + ("mode",)
+    argv = ["verify", "--config=@config"]
+    if draw(st.booleans()):  # one spec
+        argv += [f"--eta-d={draw(_NUM)}", f"--nu={draw(_NUM)}"]
+        argv.append(f"--kind={draw(st.sampled_from(KINDS))}")
+    if draw(st.booleans()):  # at most two amplitudes at one phase
+        amplitudes = draw(st.lists(_NUM, min_size=1, max_size=2))
+        argv += ["--amplitudes=" + ",".join(amplitudes), f"--phases={draw(st.integers(-1, 1))}"]
+    for flag in ("--param-tol", "--tv-tol", "--ks-alpha"):
+        argv += _maybe(draw, flag, _NUM)
+    argv += _maybe(draw, "--seed", st.integers(-1, 2**70))
+    argv += _maybe(draw, "--mc-samples", st.sampled_from([-1, 0, 10_000, MAX_MC_SAMPLES + 1]))
+    argv += _maybe(draw, "--sabotage", st.sampled_from(SABOTAGE_MODES))
+    argv += _maybe(draw, "--mode", st.sampled_from(["analytic", "mc"]))
+    return argv + ["--out=@out/report"], {"config": _config(draw, base, keys)}
+
+
+@st.composite
+def _scan_case(draw):
+    argv, files = ["scan"], {}
+    if draw(st.booleans()):
+        base = {**_SCAN_BASE, "xi0": 0.01, "rate_params": {"modulation_variance": 4.0}}
+        files["config"] = _config(draw, base, tuple(f.name for f in fields(ScanConfig)))
+        argv.append("--config=@config")
+    if draw(st.booleans()):
+        argv.append(f"--eta-d={draw(_NUM)}")
+        for flag in draw(st.sets(st.sampled_from(["--nbar", "--nu", "--two-nu"]), min_size=1)):
+            argv.append(f"{flag}={draw(_NUM)}")
+    argv += _maybe(draw, "--protocol", st.sampled_from(PROTOCOLS))
+    argv += _maybe(draw, "--xi0", _NUM)
+    argv += _maybe(
+        draw,
+        "--loss-db",
+        st.sampled_from(["0", "0,3", "0:2:1", "3,0", "nan,5", "1e400", "5000", "0:1e9:1e-9", "x"])
+        | _NUM,
+    )
+    scenarios = st.sampled_from(["ideal", "trusted,untrusted", "ideal,x", ""])
+    argv += _maybe(draw, "--scenarios", scenarios)
+    argv += _maybe(draw, "--rate", st.sampled_from(sorted(RATE_FUNCTIONS)))
+    argv += _maybe(draw, "--va", _NUM)
+    argv += _maybe(draw, "--beta", _NUM)
+    return argv + ["--out=@out/report"], files
+
+
+@st.composite
+def _calibrate_case(draw):
+    argv, files = ["calibrate", f"--kind={draw(st.sampled_from(KINDS))}"], {}
+    argv += _maybe(draw, "--vacuum-variance", _NUM)
+    if draw(st.booleans()):
+        lines = draw(st.lists(st.lists(_NUM | st.just("x"), max_size=3), max_size=4))
+        files["samples"] = "\n".join(" ".join(line) for line in lines)
+        argv.append("--samples=@samples")
+    if draw(st.booleans()):
+        argv.append("--out=@out/cal.json")
+    return argv, files
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [_rescale_case(), _verify_case(), _scan_case(), _calibrate_case()],
+    ids=["rescale", "verify", "scan", "calibrate"],
+)
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_every_argv_ends_in_a_report_a_failed_verdict_or_one_error_line(cases, data):
+    argv, files = data.draw(cases)
+    with tempfile.TemporaryDirectory() as inputs, tempfile.TemporaryDirectory() as outputs:
+        paths = {"@out": outputs}
+        for name, text in files.items():
+            paths["@" + name] = os.path.join(inputs, name)
+            Path(paths["@" + name]).write_text(text)
+        for token, path in paths.items():
+            argv = [arg.replace(token, path) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+        written = {p.name: p.read_text() for p in Path(outputs).iterdir()}
+    command = argv[0]
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert caught == [] and written == {}
+        return
+    assert code == 0 or (code == 1 and command in ("verify", "calibrate"))
+    if command in ("verify", "scan"):
+        assert sorted(written) == ["report.csv", "report.json"]
+        _strict_json(written["report.json"])
+    elif code == 0:
+        result = _strict_json(out.getvalue())
+        assert all(_strict_json(text) == result for text in written.values())
+    else:
+        assert err.getvalue().startswith("calibration failed: ") and written == {}
+

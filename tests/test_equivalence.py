@@ -88,6 +88,15 @@ def test_sweep_config_rejects_non_finite_inputs_and_oversized_samples():
             small_config(mc_samples=bad)
 
 
+@pytest.mark.parametrize("name", ["seed", "mc_samples"])
+def test_sweep_config_counts_are_non_negative_integers(name):
+    for bad in (1.5, 2.0, -1, True, math.inf, "3"):
+        with pytest.raises(ValueError, match=name):
+            small_config(**{name: bad})
+    value = getattr(small_config(**{name: np.int64(7)}), name)
+    assert value == 7 and type(value) is int
+
+
 def test_sweep_config_json_roundtrip():
     config = small_config(mc_samples=10**4, seed=3, sabotage="scale-r")
     data = config.to_json_dict()
@@ -293,21 +302,24 @@ def test_merge_rank_ks_keeps_exact_pvalues_up_to_1e4():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_ks_cell_single_tail_call_equals_two_call_minimum(seed, r_used):
     # A heterodyne cell as the Monte Carlo sweep builds it, above the exact
-    # regime, faithful and with the rescale skipped (tail p-values).
+    # regime and at its edge, faithful and with the rescale skipped (tail
+    # p-values).
     spec = DetectorSpec.from_noise_product(HETERODYNE, 0.7, nu=0.2)
     plan = rescale_plan(spec)
     state = coherent_state(3.0 + 1.0j)
     r = plan.r if r_used == "faithful" else r_used
-    n = 20_001
-    a = sample_outcomes(noisy_measurement_density(state, spec), n, seed, 0) / r
-    b = sample_outcomes(rescaled_lossy_density(state, HETERODYNE, plan.eta_e, 1.0), n, seed, 1)
-    pairs = [(a.real, b.real), (a.imag, b.imag)]
-    per_component = [ks_2samp(xs, ys) for xs, ys in pairs]
-    expected = (
-        max(stat for stat, _ in per_component),
-        min(1.0, 2 * min(p for _, p in per_component)),
-    )
-    assert _ks_cell(pairs) == expected
+    for n in (20_001, 10_000):
+        a = sample_outcomes(noisy_measurement_density(state, spec), n, seed, 0) / r
+        b = sample_outcomes(
+            rescaled_lossy_density(state, HETERODYNE, plan.eta_e, 1.0), n, seed, 1
+        )
+        pairs = [(a.real, b.real), (a.imag, b.imag)]
+        per_component = [ks_2samp(xs, ys) for xs, ys in pairs]
+        expected = (
+            max(stat for stat, _ in per_component),
+            min(1.0, 2 * min(p for _, p in per_component)),
+        )
+        assert _ks_cell(pairs) == expected
 
 
 def test_holm_rejections_step_down():
