@@ -36,6 +36,7 @@ from .equivalence import (
     default_sweep_config,
     monte_carlo_sweep,
 )
+from .jsontext import json_text as _json_text
 from .keyrate import (
     PROTOCOLS,
     RATE_FUNCTIONS,
@@ -54,10 +55,6 @@ OUTPUT_DIR_ENV = "CVTRUST_OUTPUT_DIR"
 
 # Largest number of points a start:stop:step loss grid may expand to.
 MAX_GRID_POINTS = 10**6
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -277,9 +274,10 @@ def _scan_config_from_args(args: argparse.Namespace) -> ScanConfig:
 def cmd_scan(args: argparse.Namespace) -> int:
     config = _scan_config_from_args(args)
     table = run_scan(config)
+    json_report, csv_report = table.report_texts()
     out = _resolve_out(args.out)
-    _write_atomic(out.with_suffix(".json"), _json_text(table.to_json_dict()))
-    _write_atomic(out.with_suffix(".csv"), table.to_csv_text())
+    _write_atomic(out.with_suffix(".json"), json_report)
+    _write_atomic(out.with_suffix(".csv"), csv_report)
     print(
         f"scan: protocol={config.protocol} eta_e_min={table.eta_e_min:.12g} "
         f"points={len(config.loss_db)}"

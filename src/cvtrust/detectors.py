@@ -21,6 +21,7 @@ from .gaussian import (
     loss_channel,
     thermal_loss_channel,
 )
+from .jsontext import real_number
 
 HOMODYNE = "homodyne"
 HETERODYNE = "heterodyne"
@@ -45,8 +46,8 @@ class DetectorSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        eta_d = float(self.eta_d)
-        nbar = float(self.nbar)
+        eta_d = float(real_number("eta_d", self.eta_d))
+        nbar = float(real_number("nbar", self.nbar))
         if not 0.0 < eta_d <= 1.0:
             raise ValueError("detector efficiency must satisfy 0 < eta_d <= 1")
         if not math.isfinite(nbar) or nbar < 0:

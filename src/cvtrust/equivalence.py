@@ -40,6 +40,7 @@ from .detectors import (
     sample_outcomes,
 )
 from .gaussian import coherent_state
+from .jsontext import real_number
 from .rescaling import rescale_plan
 
 SABOTAGE_MODES = ("none", "skip-rescale", "scale-r")
@@ -108,10 +109,10 @@ class SweepConfig:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         for name in ("param_tol", "tv_tol"):
-            value = getattr(self, name)
+            value = real_number(name, getattr(self, name))
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be a positive finite number")
-        if not 0.0 < self.ks_alpha < 1.0:
+        if not 0.0 < real_number("ks_alpha", self.ks_alpha) < 1.0:
             raise ValueError("ks_alpha must lie strictly between 0 and 1")
 
     @property
@@ -132,7 +133,8 @@ class SweepConfig:
         if schema != "cvtrust/verify-config/1":
             raise ValueError(f"unsupported sweep config schema {schema!r}")
         try:
-            data["alphas"] = tuple(complex(re, im) for re, im in data["alphas"])
+            pairs = [[real_number("alphas", v) for v in pair] for pair in data["alphas"]]
+            data["alphas"] = tuple(complex(re, im) for re, im in pairs)
             data["specs"] = tuple(DetectorSpec(**s) for s in data["specs"])
             unknown = set(data) - {f.name for f in fields(cls)}
             if unknown:

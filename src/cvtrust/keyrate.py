@@ -18,12 +18,14 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
 
 from .channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params
 from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec
+from .jsontext import json_value, real_number
 from .rescaling import harmonize
 
 PROTOCOLS = ("heterodyne", "hybrid")
@@ -45,7 +47,7 @@ class RateParams:
     reconciliation_efficiency: float = 0.95
 
     def __post_init__(self) -> None:
-        if not self.modulation_variance > 0:
+        if not real_number("modulation_variance", self.modulation_variance) > 0:
             raise ValueError("modulation_variance must be positive")
         v = self.modulation_variance + 1.0
         if not math.isfinite(v * v):
@@ -53,7 +55,8 @@ class RateParams:
                 f"modulation_variance {self.modulation_variance!r} is too large: "
                 "(V_A + 1)^2 overflows"
             )
-        if not 0.0 < self.reconciliation_efficiency <= 1.0:
+        efficiency = real_number("reconciliation_efficiency", self.reconciliation_efficiency)
+        if not 0.0 < efficiency <= 1.0:
             raise ValueError("reconciliation_efficiency must lie in (0, 1]")
 
     def to_json_dict(self) -> dict:
@@ -191,8 +194,8 @@ class ScanConfig:
             protocol's key quadrature).
         rate_name: Registry name of the rate function.
         rate_params: Auxiliary parameters passed to the rate function.
-        epsilon_sec: Security parameter, carried as report metadata only.
-        pulse_count: Block size, carried as report metadata only.
+        epsilon_sec: Security parameter in (0, 1), report metadata only.
+        pulse_count: Finite block size >= 1, report metadata only.
     """
 
     loss_db: tuple[float, ...]
@@ -206,7 +209,8 @@ class ScanConfig:
     pulse_count: float = 1e12
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "loss_db", tuple(float(x) for x in self.loss_db))
+        loss_db = tuple(float(real_number("loss_db", x)) for x in self.loss_db)
+        object.__setattr__(self, "loss_db", loss_db)
         object.__setattr__(self, "detectors", tuple(self.detectors))
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         if not self.loss_db:
@@ -222,8 +226,12 @@ class ScanConfig:
                 raise ValueError(
                     f"loss {loss_db!r} dB underflows to zero transmittance"
                 )
-        if not math.isfinite(self.xi0) or self.xi0 < 0:
+        if not math.isfinite(real_number("xi0", self.xi0)) or self.xi0 < 0:
             raise ValueError("xi0 must be finite and non-negative")
+        if not 0.0 < real_number("epsilon_sec", self.epsilon_sec) < 1.0:
+            raise ValueError(f"epsilon_sec must lie in (0, 1), got {self.epsilon_sec!r}")
+        if not 1.0 <= real_number("pulse_count", self.pulse_count) < math.inf:
+            raise ValueError(f"pulse_count must be finite and >= 1, got {self.pulse_count!r}")
         if not self.detectors:
             raise ValueError("at least one detector is required")
         if not self.scenarios:
@@ -280,16 +288,12 @@ class ScanRow:
     rate: float
     status: str
 
-    def to_json_dict(self) -> dict:
-        # A failed point's NaN rate is written as null; the status says why.
-        return {
-            "loss_db": self.loss_db,
-            "scenario": self.scenario,
-            "t_eff": self.t_eff,
-            "xi_eff": self.xi_eff,
-            "rate": self.rate if math.isfinite(self.rate) else None,
-            "status": self.status,
-        }
+
+# One row of ScanTable.to_json_dict() as json_text puts it in the "rows" list.
+_JSON_ROW = (
+    '{\n      "loss_db": %s,\n      "rate": %s,\n      "scenario": %s,\n'
+    '      "status": %s,\n      "t_eff": %s,\n      "xi_eff": %s\n    }'
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,35 +307,59 @@ class ScanTable:
     def rates(self, scenario: str) -> list[float]:
         return [r.rate for r in self.rows if r.scenario == scenario]
 
+    def _metadata(self) -> dict:
+        return {
+            "eta_e_min": self.eta_e_min,
+            "epsilon_sec": self.config.epsilon_sec,
+            "pulse_count": self.config.pulse_count,
+            "rate_kind": self.config.rate_kind,
+        }
+
     def to_json_dict(self) -> dict:
         return {
             "schema": "cvtrust/scan-report/1",
             "config": self.config.to_json_dict(),
-            "metadata": {
-                "eta_e_min": self.eta_e_min,
-                "epsilon_sec": self.config.epsilon_sec,
-                "pulse_count": self.config.pulse_count,
-                "rate_kind": self.config.rate_kind,
-            },
-            "rows": [r.to_json_dict() for r in self.rows],
+            "metadata": self._metadata(),
+            # A failed point's NaN rate is written as null; the status says why.
+            "rows": [
+                {**vars(r), "rate": r.rate if math.isfinite(r.rate) else None} for r in self.rows
+            ],
         }
 
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["loss_dB", "scenario", "t_eff", "xi_eff", "rate", "status"])
+    def report_texts(self) -> tuple[str, str]:
+        """The JSON and CSV reports, written in one pass over the rows.
+
+        The JSON is json_text(self.to_json_dict()).  Each float is formatted
+        once by repr, as json and csv both do, and shared by both texts; a
+        row that is not "ok" goes through csv.writer, which quotes its status.
+        """
+        losses = {x: repr(x) for x in self.config.loss_db}
+        json_rows = []
+        csv_out = io.StringIO()
+        csv_out.write("loss_dB,scenario,t_eff,xi_eff,rate,status\n")
+        csv_writer = csv.writer(csv_out, lineterminator="\n")
         for r in self.rows:
-            writer.writerow(
-                [
-                    repr(r.loss_db),
-                    r.scenario,
-                    repr(r.t_eff),
-                    repr(r.xi_eff),
-                    repr(r.rate),
-                    r.status,
-                ]
-            )
-        return buf.getvalue()
+            if not all(map(math.isfinite, (r.loss_db, r.t_eff, r.xi_eff))):
+                raise ValueError(f"Out of range float values are not JSON compliant: {r}")
+            loss = losses.get(r.loss_db) or repr(r.loss_db)
+            t_eff, xi_eff, rate = repr(r.t_eff), repr(r.xi_eff), repr(r.rate)
+            quoted = map(encode_basestring_ascii, (r.scenario, r.status))
+            json_rate = rate if math.isfinite(r.rate) else "null"
+            json_rows.append(_JSON_ROW % (loss, json_rate, *quoted, t_eff, xi_eff))
+            if r.status == "ok":
+                csv_out.write(f"{loss},{r.scenario},{t_eff},{xi_eff},{rate},ok\n")
+            else:
+                csv_writer.writerow([loss, r.scenario, t_eff, xi_eff, rate, r.status])
+        rows = "[\n    " + ",\n    ".join(json_rows) + "\n  ]" if json_rows else "[]"
+        json_report = (
+            '{\n  "config": ' + json_value(self.config.to_json_dict(), "\n  ")
+            + ',\n  "metadata": ' + json_value(self._metadata(), "\n  ")
+            + ',\n  "rows": ' + rows + ',\n  "schema": "cvtrust/scan-report/1"\n}\n'
+        )
+        return json_report, csv_out.getvalue()
+
+    def to_csv_text(self) -> str:
+        return self.report_texts()[1]
 
 
 def loss_db_to_transmittance(loss_db: float) -> float:

@@ -442,6 +442,68 @@ def test_report_writer_refuses_nan_and_infinity():
             _json_text({"rate": bad})
 
 
+_JSON_TEXTS = st.text() | st.sampled_from(
+    ['"', "{", "}", ",", "\n", ', "k": [1,\n  2]}', "\u00e9t\u00e9 \u2603"]
+)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, 2**64 + 1, -(2**70), 5e-324, -0.0, 1e-300, 1e16, 2.0**53]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _JSON_TEXTS,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXTS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_report_writer_equals_the_indented_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, value, key",
+    [
+        ("scan", '"epsilon_sec": "x"', "epsilon_sec"),
+        ("scan", '"epsilon_sec": NaN', "epsilon_sec"),
+        ("scan", '"epsilon_sec": 1', "epsilon_sec"),
+        ("scan", '"pulse_count": [1, {}]', "pulse_count"),
+        ("scan", '"pulse_count": 0.5', "pulse_count"),
+        ("scan", '"pulse_count": Infinity', "pulse_count"),
+        ("scan", '"xi0": true', "xi0"),
+        ("scan", '"xi0": "0.1"', "xi0"),
+        ("scan", '"loss_db": [0, true]', "loss_db"),
+        ("scan", '"rate_params": {"reconciliation_efficiency": true}', "reconciliation_efficiency"),
+        ("scan", '"detectors": [{"kind": "heterodyne", "eta_d": true}]', "eta_d"),
+        ("verify", '"tv_tol": true', "tv_tol"),
+        ("verify", '"tv_tol": "x"', "tv_tol"),
+        ("verify", '"ks_alpha": false', "ks_alpha"),
+        ("verify", '"alphas": [[true, 0]]', "alphas"),
+        ("verify", '"specs": [{"kind": "homodyne", "eta_d": 0.7, "nbar": false}]', "nbar"),
+    ],
+)
+def test_config_values_of_the_wrong_type_or_range_exit_2_naming_the_key(
+    capsys, tmp_path, command, value, key
+):
+    base = _VERIFY_BASE if command == "verify" else _SCAN_BASE
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**base, **json.loads("{" + value + "}")}))
+    code, out, err = run_cli(capsys, command, "--config", str(config), "--out", "bad")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_scan_needs_detectors(capsys):
     code, _, err = run_cli(capsys, "scan", "--loss-db", "0:10:5")
     assert code == 2

@@ -1,6 +1,9 @@
+import csv
 import decimal
+import io
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from cvtrust.channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params
 from cvtrust.detectors import HETERODYNE, HOMODYNE, DetectorSpec
+from cvtrust.jsontext import json_text
 from cvtrust.keyrate import (
     PROTOCOLS,
     RATE_FUNCTIONS,
@@ -339,6 +343,43 @@ def test_run_scan_survives_rate_function_failure():
         assert all(math.isnan(r.rate) for r in table.rows)
     finally:
         del RATE_FUNCTIONS["always-raises"]
+
+
+def _csv_writer_text(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["loss_dB", "scenario", "t_eff", "xi_eff", "rate", "status"])
+    for r in table.rows:
+        writer.writerow(
+            [repr(r.loss_db), r.scenario, repr(r.t_eff), repr(r.xi_eff), repr(r.rate), r.status]
+        )
+    return buf.getvalue()
+
+
+def test_one_pass_reports_equal_the_json_writer_and_csv_writer_forms():
+    # Failing points give statuses with the characters csv and json must
+    # quote or escape; the other points are ok rows with ordinary floats.
+    messages = ['comma, here', 'a "quoted" word', "two\nlines", "\u00e9t\u00e9 \u2603", "{}"]
+
+    def flaky(t_eff, xi_eff, kind, params):
+        index = int(t_eff * 1e6) % 7
+        if index < len(messages):
+            raise ArithmeticError(messages[index])
+        return math.nan if index == 5 else reference_rate(t_eff, xi_eff, kind, params)
+
+    RATE_FUNCTIONS["test-flaky"] = flaky
+    try:
+        config = het_scan_config(loss_db=tuple(0.37 * k for k in range(40)), rate_name="test-flaky")
+        table = run_scan(config)
+    finally:
+        del RATE_FUNCTIONS["test-flaky"]
+    statuses = {r.status for r in table.rows}
+    assert "ok" in statuses and "error: non-finite rate" in statuses
+    assert {f"error: {m}" for m in messages} <= statuses
+    for t in (table, replace(table, rows=())):
+        json_report, csv_report = t.report_texts()
+        assert json_report == json_text(t.to_json_dict())
+        assert csv_report == t.to_csv_text() == _csv_writer_text(t)
 
 
 def test_scan_table_serialization():
