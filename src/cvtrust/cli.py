@@ -36,6 +36,7 @@ from .equivalence import (
     default_sweep_config,
     monte_carlo_sweep,
 )
+from .jsontext import json_object
 from .jsontext import json_text as _json_text
 from .keyrate import (
     PROTOCOLS,
@@ -264,9 +265,7 @@ def _scan_config_from_args(args: argparse.Namespace) -> ScanConfig:
     rate_flags = (("modulation_variance", args.va), ("reconciliation_efficiency", args.beta))
     overrides = {name: value for name, value in rate_flags if value is not None}
     if overrides:
-        rate_params = config_data.get("rate_params", {})
-        if not isinstance(rate_params, dict):
-            raise ValueError("malformed scan config: rate_params must be an object")
+        rate_params = json_object("rate_params", config_data.get("rate_params", {}))
         config_data["rate_params"] = {**rate_params, **overrides}
     return ScanConfig.from_json_dict(config_data)
 

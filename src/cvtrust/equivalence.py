@@ -26,7 +26,9 @@ import csv
 import io
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .detectors import (
     sample_outcomes,
 )
 from .gaussian import coherent_state
-from .jsontext import real_number
+from .jsontext import json_list, json_object, real_number
 from .rescaling import rescale_plan
 
 SABOTAGE_MODES = ("none", "skip-rescale", "scale-r")
@@ -48,6 +50,8 @@ SABOTAGE_MODES = ("none", "skip-rescale", "scale-r")
 # Largest mc_samples a sweep accepts.  A heterodyne Monte Carlo cell peaks at
 # about 163 bytes per draw (ru_maxrss at 10^6 and 2x10^6 draws: the samples,
 # the rescaled copy, the KS step's sorted, merged and ranked arrays): 1.6 GB.
+# A sweep has one cell in flight per worker process, so on two CPUs a sweep
+# at the cap peaks at about 3.2 GB in total.
 MAX_MC_SAMPLES = 10**7
 
 CSV_COLUMNS = (
@@ -133,9 +137,16 @@ class SweepConfig:
         if schema != "cvtrust/verify-config/1":
             raise ValueError(f"unsupported sweep config schema {schema!r}")
         try:
-            pairs = [[real_number("alphas", v) for v in pair] for pair in data["alphas"]]
-            data["alphas"] = tuple(complex(re, im) for re, im in pairs)
-            data["specs"] = tuple(DetectorSpec(**s) for s in data["specs"])
+            alphas = []
+            for i, pair in enumerate(json_list("alphas", data["alphas"])):
+                if len(json_list(f"alphas[{i}]", pair)) != 2:
+                    raise ValueError(f"alphas[{i}] must be a [re, im] pair, got {pair!r}")
+                alphas.append(complex(*(real_number("alphas", v) for v in pair)))
+            data["alphas"] = tuple(alphas)
+            data["specs"] = tuple(
+                DetectorSpec(**json_object(f"specs[{i}]", s))
+                for i, s in enumerate(json_list("specs", data["specs"]))
+            )
             unknown = set(data) - {f.name for f in fields(cls)}
             if unknown:
                 raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
@@ -491,6 +502,42 @@ def analytic_sweep(config: SweepConfig) -> EquivalenceReport:
     return EquivalenceReport("analytic", config, tuple(cells), all(c.passed for c in cells))
 
 
+def _mc_workers(n_cells: int) -> int:
+    """Processes that run a sweep of n_cells cells: one per usable CPU, at most one per cell."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(n_cells, cpus)
+
+
+def _mc_cell(config: SweepConfig, indexed_cell: tuple) -> CellResult:
+    """Sample and KS-test one Monte Carlo cell.
+
+    indexed_cell is (index, cell) with cell as _cells yields it; the
+    index picks the cell's two RNG substreams, so the result does not
+    depend on which process runs the cell or in what order.
+    """
+    index, (alpha, spec, eta_e, r_used, state, noisy) = indexed_cell
+    lossy_ideal = rescaled_lossy_density(state, spec.kind, eta_e, 1.0)
+    factor = 1.0 / r_used
+    a = factor * sample_outcomes(noisy, config.mc_samples, config.seed, 2 * index)
+    b = sample_outcomes(lossy_ideal, config.mc_samples, config.seed, 2 * index + 1)
+    if np.iscomplexobj(a):
+        pairs = [(a.real, b.real), (a.imag, b.imag)]
+    else:
+        pairs = [(a, b)]
+    stat, pvalue = _ks_cell(pairs)
+    xs, ys = zip(*pairs)
+    mean_gap = _relative_gap(map(np.mean, xs), map(np.mean, ys), floor=1.0)
+    var_gap = _relative_gap(
+        [np.var(x, ddof=1) for x in xs], [np.var(y, ddof=1) for y in ys], floor=0.0
+    )
+    return CellResult(alpha, spec, mean_gap, var_gap, ks_statistic=stat, ks_pvalue=pvalue)
+
+
 def monte_carlo_sweep(config: SweepConfig) -> EquivalenceReport:
     """Compare sampled outcomes of both detector models over the grid.
 
@@ -500,34 +547,35 @@ def monte_carlo_sweep(config: SweepConfig) -> EquivalenceReport:
     two samples are KS-tested per outcome component.  Cell p-values are
     Bonferroni-combined across components and a Holm correction at level
     ks_alpha decides rejections across the grid.
+
+    Cells run in a pool of forked processes, one per usable CPU, and
+    come back in grid order; each cell draws from its own substreams, so
+    the report is the same as a run in one process.
     """
     if config.mc_samples < 10**4:
         raise ValueError("Monte Carlo sweeps require mc_samples >= 10^4")
-    # Load scipy.stats before the first cell's samples exist: imported
-    # between allocations of that size it raised the peak RSS by 4-7 MiB
-    # at 5x10^5 draws.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Load scipy.stats before the first cell's samples exist (imported
+    # between allocations of that size it raised the peak RSS by 4-7 MiB at
+    # 5x10^5 draws), and before the pool forks, so every worker has it.
     import scipy.stats  # noqa: F401
-    cells = []
-    for index, (alpha, spec, eta_e, r_used, state, noisy) in enumerate(_cells(config)):
-        lossy_ideal = rescaled_lossy_density(state, spec.kind, eta_e, 1.0)
-        factor = 1.0 / r_used
-        a = factor * sample_outcomes(noisy, config.mc_samples, config.seed, 2 * index)
-        b = sample_outcomes(lossy_ideal, config.mc_samples, config.seed, 2 * index + 1)
-        if np.iscomplexobj(a):
-            pairs = [(a.real, b.real), (a.imag, b.imag)]
-        else:
-            pairs = [(a, b)]
-        stat, pvalue = _ks_cell(pairs)
-        xs, ys = zip(*pairs)
-        mean_gap = _relative_gap(map(np.mean, xs), map(np.mean, ys), floor=1.0)
-        var_gap = _relative_gap(
-            [np.var(x, ddof=1) for x in xs], [np.var(y, ddof=1) for y in ys], floor=0.0
-        )
-        cells.append(
-            CellResult(alpha, spec, mean_gap, var_gap, ks_statistic=stat, ks_pvalue=pvalue)
-        )
-        # Free this cell's samples before the next cell draws and sorts its own.
-        del a, b, pairs, xs, ys
+
+    run_cell = partial(_mc_cell, config)
+    todo = list(enumerate(_cells(config)))
+    workers = _mc_workers(len(todo))
+    if workers == 1:
+        cells = [run_cell(c) for c in todo]
+    else:
+        # Fork, not the platform default: a spawned or forkserver worker
+        # would import scipy again, at about 1 s each.
+        context = multiprocessing.get_context("fork")
+        # About eight chunks per worker: few round trips for 10^4-draw
+        # cells, and a balanced load when cells take seconds.
+        chunk = max(1, len(todo) // (8 * workers))
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            cells = list(pool.map(run_cell, todo, chunksize=chunk))
     rejected = holm_rejections([c.ks_pvalue for c in cells], config.ks_alpha)
     cells = [replace(c, passed=False) if i in rejected else c for i, c in enumerate(cells)]
     return EquivalenceReport("mc", config, tuple(cells), passed=not rejected)

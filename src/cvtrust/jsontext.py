@@ -1,4 +1,4 @@
-"""The JSON boundary: the report writer, and the type check of config numbers."""
+"""The JSON boundary: the report writer, and the type checks of config values."""
 
 from __future__ import annotations
 
@@ -40,4 +40,18 @@ def real_number(name: str, value):
     """Return value if it is a real number; a bool (JSON true or false) is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def json_list(name: str, value) -> list | tuple:
+    """Return value if it is a JSON array: a list, or a tuple from a to_json_dict."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def json_object(name: str, value) -> dict:
+    """Return value if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
     return value

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params
 from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec
-from .jsontext import json_value, real_number
+from .jsontext import json_list, json_object, json_value, real_number
 from .rescaling import harmonize
 
 PROTOCOLS = ("heterodyne", "hybrid")
@@ -266,9 +266,15 @@ class ScanConfig:
         if schema != "cvtrust/scan-config/1":
             raise ValueError(f"unsupported scan config schema {schema!r}")
         try:
-            data["detectors"] = tuple(DetectorSpec(**d) for d in data["detectors"])
+            data["detectors"] = tuple(
+                DetectorSpec(**json_object(f"detectors[{i}]", d))
+                for i, d in enumerate(json_list("detectors", data["detectors"]))
+            )
+            for name in ("loss_db", "scenarios"):
+                if name in data:
+                    json_list(name, data[name])
             if "rate_params" in data:
-                data["rate_params"] = RateParams(**data["rate_params"])
+                data["rate_params"] = RateParams(**json_object("rate_params", data["rate_params"]))
             unknown = set(data) - {f.name for f in fields(cls)}
             if unknown:
                 raise ValueError(f"unknown scan config keys: {sorted(unknown)}")

@@ -407,6 +407,14 @@ _SCAN_BASE = {
         ("scan", '"rate_params": [1]', ()),
         ("scan", '"rate_params": [1]', ("--va", "5")),
         ("scan", '"scenarios": 5', ()),
+        ("scan", '"scenarios": "ideal"', ()),
+        ("scan", '"loss_db": 5', ()),
+        ("scan", '"detectors": 5', ()),
+        ("scan", '"detectors": [5]', ()),
+        ("verify", '"alphas": 5', ()),
+        ("verify", '"alphas": [5]', ()),
+        ("verify", '"alphas": [[1, 0, 0]]', ()),
+        ("verify", '"specs": [[]]', ()),
     ],
 )
 def test_malformed_config_values_exit_2(capsys, tmp_path, command, value, flags):
@@ -489,6 +497,17 @@ def test_report_writer_equals_the_indented_json_dumps(obj):
         ("verify", '"ks_alpha": false', "ks_alpha"),
         ("verify", '"alphas": [[true, 0]]', "alphas"),
         ("verify", '"specs": [{"kind": "homodyne", "eta_d": 0.7, "nbar": false}]', "nbar"),
+        ("scan", '"scenarios": 5', "scenarios"),
+        ("scan", '"scenarios": "ideal"', "scenarios"),
+        ("scan", '"loss_db": 5', "loss_db"),
+        ("scan", '"rate_params": [1]', "rate_params"),
+        ("scan", '"detectors": 5', "detectors"),
+        ("scan", '"detectors": [5]', "detectors[0]"),
+        ("verify", '"alphas": 5', "alphas"),
+        ("verify", '"alphas": [5]', "alphas[0]"),
+        ("verify", '"alphas": [[1, 0, 0]]', "alphas[0]"),
+        ("verify", '"specs": 5', "specs"),
+        ("verify", '"specs": [[]]', "specs[0]"),
     ],
 )
 def test_config_values_of_the_wrong_type_or_range_exit_2_naming_the_key(
@@ -683,6 +702,11 @@ from cvtrust.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+def pool_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"
+                  or m == "concurrent.futures" or m.startswith("concurrent.futures."))
+
+after_import = pool_modules()
 out = sys.argv[1]
 codes = [
     main(["rescale", "--kind", "homodyne", "--nu", "1e-3"]),
@@ -691,10 +715,12 @@ codes = [
           "--out", out + "/scan"]),
 ]
 before_verify = scipy_modules()
+pools_before_verify = pool_modules()
 codes.append(main(["verify", "--eta-d", "0.7", "--nu", "1e-3", "--amplitudes", "1",
                    "--phases", "1", "--out", out + "/verify"]))
 print(json.dumps({"codes": codes, "before_verify": before_verify,
-                  "after_verify": len(scipy_modules())}), file=sys.stderr)
+                  "after_verify": len(scipy_modules()), "after_import": after_import,
+                  "pools_before_verify": pools_before_verify}), file=sys.stderr)
 """
 
 
@@ -716,6 +742,9 @@ def test_only_verify_loads_scipy(tmp_path):
     assert result["codes"] == [0, 0, 0, 0]
     assert result["before_verify"] == []
     assert result["after_verify"] > 0  # the probe does see scipy once it loads
+    # The Monte Carlo process pool is imported by the sweep, not by the CLI.
+    assert result["after_import"] == []
+    assert result["pools_before_verify"] == []
 
 
 # Every argv of the four subcommands, config and samples files included,

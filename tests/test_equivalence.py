@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from cvtrust import equivalence
 from cvtrust.channel import ChannelSpec, transmit
 from cvtrust.detectors import (
     HETERODYNE,
@@ -16,6 +18,7 @@ from cvtrust.detectors import (
     sample_outcomes,
 )
 from cvtrust.gaussian import GaussianState, coherent_state
+from cvtrust.jsontext import json_text
 from cvtrust.rescaling import rescale_plan
 from cvtrust.equivalence import (
     CSV_COLUMNS,
@@ -368,6 +371,58 @@ def test_monte_carlo_sweep_is_deterministic():
     b = monte_carlo_sweep(config)
     assert a.to_csv_text() == b.to_csv_text()
     assert a.to_json_dict() == b.to_json_dict()
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(equivalence, "_mc_workers", lambda n_cells: workers)
+
+
+@pytest.mark.parametrize("sabotage", ["none", "skip-rescale"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_monte_carlo_reports_are_the_same_bytes_in_one_process_and_in_a_pool(
+    monkeypatch, tmp_path, seed, sabotage
+):
+    config = reduced_mc_config(seed=seed, mc_samples=10**4, sabotage=sabotage)
+    draw = equivalence.sample_outcomes
+    pids = tmp_path / "pids"
+
+    def recorded_draw(*args, **kwargs):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "sample_outcomes", recorded_draw)
+    texts = {}
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        pids.write_text("")
+        report = monte_carlo_sweep(config)
+        texts[workers] = (json_text(report.to_json_dict()), report.to_csv_text())
+        drawn_in = set(pids.read_text().split())
+        if workers == 1:
+            assert drawn_in == {str(os.getpid())}
+        else:
+            assert drawn_in and str(os.getpid()) not in drawn_in
+    assert texts[1] == texts[2]
+    assert (report.n_rejections > 0) == (sabotage == "skip-rescale")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_cell_errors_reach_the_caller(monkeypatch, workers):
+    def broken_draw(*args, **kwargs):
+        raise FloatingPointError(f"draw failed in {os.getpid()}")
+
+    monkeypatch.setattr(equivalence, "sample_outcomes", broken_draw)
+    _force_workers(monkeypatch, workers)
+    with pytest.raises(FloatingPointError, match="draw failed") as info:
+        monte_carlo_sweep(reduced_mc_config(mc_samples=10**4))
+    raised_here = str(info.value) == f"draw failed in {os.getpid()}"
+    assert raised_here == (workers == 1)
+
+
+def test_monte_carlo_workers_are_one_per_usable_cpu():
+    assert equivalence._mc_workers(1) == 1
+    assert 1 <= equivalence._mc_workers(10**6) <= (os.cpu_count() or 1)
 
 
 def test_monte_carlo_false_positive_control():
