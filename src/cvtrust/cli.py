@@ -142,8 +142,9 @@ def _detector_from_noise_flags(kind, eta_d, nbar, nu, two_nu) -> DetectorSpec:
 
 
 def cmd_rescale(args: argparse.Namespace) -> int:
-    if args.limit and args.eta_d is not None:
-        raise ValueError("--limit and --eta-d are mutually exclusive")
+    for flag, value in (("--eta-d", args.eta_d), ("--nbar", args.nbar)):
+        if args.limit and value is not None:
+            raise ValueError(f"--limit and {flag} are mutually exclusive")
     if args.nu is not None and args.two_nu is not None:
         raise ValueError("--nu and --two-nu are mutually exclusive")
     if args.limit or (args.eta_d is None and args.nbar is None):
@@ -282,7 +283,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         f"points={len(config.loss_db)}"
     )
     print(f"{'scenario':<10} {'rate@min_loss':>16} {'positive_up_to_dB':>18}")
-    for scenario in sorted(set(config.scenarios)):
+    for scenario in sorted(config.scenarios):
         rates = [r for r in table.rows if r.scenario == scenario]
         positive = [r.loss_db for r in rates if r.status == "ok" and r.rate > 0]
         head = rates[0].rate if rates else float("nan")

@@ -160,24 +160,17 @@ def ideal_homodyne_density(state: GaussianState) -> OutcomeDensity:
     For a Gaussian state this is the normal density with the state's
     x mean and x variance.
     """
-    return OutcomeDensity(state.mean[:1], state.cov[0, 0])
+    return OutcomeDensity(state.mean[:1], state.variance)
 
 
 def ideal_heterodyne_density(state: GaussianState) -> OutcomeDensity:
     """Outcome density of ideal heterodyne (double homodyne) detection.
 
-    The complex outcome has the state's quadrature means and covariance
-    cov + I/4; one vacuum unit enters through the simultaneous measurement
-    of both quadratures.
-
-    Raises:
-        ValueError: For a state that is not phase-insensitive (its
-            covariance is not a multiple of the identity).
+    The complex outcome has the state's quadrature means and variance
+    variance + 1/4 per component; one vacuum unit enters through the
+    simultaneous measurement of both quadratures.
     """
-    cov = state.cov
-    if not (cov[0, 1] == 0.0 and cov[0, 0] == cov[1, 1]):
-        raise ValueError("heterodyne outcome densities need a phase-insensitive state")
-    return OutcomeDensity(state.mean, cov[0, 0] + VACUUM_VARIANCE)
+    return OutcomeDensity(state.mean, state.variance + VACUUM_VARIANCE)
 
 
 def _ideal_density(state: GaussianState, kind: str) -> OutcomeDensity:

@@ -13,7 +13,7 @@ scipy is imported inside the functions that call it, so the rest of the
 package (and the scan, rescale and calibrate commands) loads without it.
 
 Independent oracles are included.  Two integrate Gaussian mixtures of
-coherent states by 2-d quadrature, sharing no covariance arithmetic with
+coherent states by 2-d quadrature, sharing no moment arithmetic with
 the Gaussian engine, and validate the closed-form densities and channel
 moments; a third dilates the thermal-loss channel into a two-mode beam
 splitter.  Deliberate sabotage modes de-tune the rescale step so the
@@ -53,6 +53,11 @@ SABOTAGE_MODES = ("none", "skip-rescale", "scale-r")
 # A sweep has one cell in flight per worker process, so on two CPUs a sweep
 # at the cap peaks at about 3.2 GB in total.
 MAX_MC_SAMPLES = 10**7
+
+# Largest |Re alpha| or |Im alpha| a sweep accepts.  The two models round
+# their outcome means differently; from about 5e6 on that gap fails faithful
+# analytic cells, and by 1e200 it overflows the Monte Carlo moments to NaN.
+MAX_AMPLITUDE = 1e6
 
 CSV_COLUMNS = (
     "alpha_re",
@@ -103,8 +108,8 @@ class SweepConfig:
             raise ValueError("spec grid must not be empty")
         if self.sabotage not in SABOTAGE_MODES:
             raise ValueError(f"sabotage must be one of {SABOTAGE_MODES}")
-        if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in self.alphas):
-            raise ValueError("coherent amplitudes must be finite")
+        if not all(abs(c) <= MAX_AMPLITUDE for a in self.alphas for c in (a.real, a.imag)):
+            raise ValueError(f"alphas must have finite parts of magnitude at most {MAX_AMPLITUDE:g}")
         if not 0 <= float(self.mc_samples) <= MAX_MC_SAMPLES:
             raise ValueError(f"mc_samples must lie between 0 and {MAX_MC_SAMPLES}")
         for name in ("mc_samples", "seed"):
@@ -654,7 +659,7 @@ def mixture_quadrature_oracle(
     The detector's thermal noise is expanded as a Gaussian mixture of
     coherent states over the complex plane; the density on the outcome
     grid is the quadrature sum of the known coherent-state outcome
-    densities.  Nothing here touches the covariance engine, so the
+    densities.  Nothing here touches the Gaussian engine, so the
     result is an independent check of the closed-form densities.
 
     Node counts double from start_nodes until two consecutive tables
@@ -710,7 +715,7 @@ def channel_moment_oracle(
     The channel output for a coherent input is a Gaussian-displaced
     mixture of coherent states; its quadrature means and variances are
     integrated numerically over the displacement, independently of the
-    covariance engine.
+    Gaussian engine.
 
     Args:
         beta: Coherent input amplitude.

@@ -4,8 +4,12 @@ Conventions
 -----------
 Quadratures are x = (a + a^dag)/2 and p = -i(a - a^dag)/2, so the vacuum
 state has variance 1/4 in each quadrature and a coherent state |alpha>
-has mean (Re alpha, Im alpha).  Mean vectors and covariance matrices are
-ordered (x, p).
+has mean (Re alpha, Im alpha).  Mean vectors are ordered (x, p).
+
+Every state here is phase-insensitive: coherent probes, thermal states
+and the loss, thermal-loss and isotropic displacement maps that act on
+them all keep the covariance a multiple of the identity, v I.  A state is
+therefore held as its mean and the one quadrature variance v.
 
 All operations return new states; states themselves are immutable.
 """
@@ -19,72 +23,64 @@ import numpy as np
 
 VACUUM_VARIANCE = 0.25
 
-# The symplectic form [[0, 1], [-1, 0]]: [x, p] = (i/2) Omega_{xp}.
-_OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def _readonly(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=float)
-    out.setflags(write=False)
-    return out
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """First and second moments of a single-mode Gaussian state.
+    """First and second moments of a phase-insensitive single-mode state.
 
     Attributes:
         mean: Quadrature mean vector (x, p).
-        cov: Symmetric 2 x 2 covariance matrix in the same ordering.
-            The vacuum has cov = I/4.
+        variance: Variance of each quadrature, positive and finite; the
+            covariance matrix is variance * I.  The vacuum has 1/4.
     """
 
     mean: np.ndarray
-    cov: np.ndarray
+    variance: float
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
+        mean = np.array(self.mean, dtype=float)
         if mean.shape != (2,):
             raise ValueError("mean must be the quadrature vector (x, p)")
-        if cov.shape != (2, 2):
-            raise ValueError("cov must be a 2 x 2 matrix")
-        if not np.array_equal(cov, cov.T):
-            raise ValueError("covariance matrix must be symmetric")
-        object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "cov", _readonly(cov))
+        variance = float(self.variance)
+        if not (math.isfinite(variance) and variance > 0):
+            raise ValueError("quadrature variance must be positive and finite")
+        mean.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", variance)
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The 2 x 2 covariance matrix, variance * I."""
+        return self.variance * np.eye(2)
 
     def is_physical(self, tol: float = 1e-12) -> bool:
-        """Check the uncertainty relation cov + (i/4) Omega >= 0 up to tol."""
-        eigenvalues = np.linalg.eigvalsh(self.cov + 0.25j * _OMEGA)
-        return bool(eigenvalues.min() >= -tol)
+        """Check the uncertainty relation variance >= 1/4 up to tol."""
+        return self.variance >= VACUUM_VARIANCE - tol
 
 
 def vacuum_state() -> GaussianState:
-    """Return the vacuum: zero mean, covariance I/4."""
-    return GaussianState(np.zeros(2), VACUUM_VARIANCE * np.eye(2))
+    """Return the vacuum: zero mean, variance 1/4."""
+    return GaussianState(np.zeros(2), VACUUM_VARIANCE)
 
 
 def coherent_state(alpha: complex) -> GaussianState:
     """Return the coherent state with amplitude alpha.
 
-    The mean is (Re alpha, Im alpha) and the covariance is the vacuum's I/4.
+    The mean is (Re alpha, Im alpha) and the variance is the vacuum's 1/4.
     """
     alpha = complex(alpha)
-    mean = np.array([alpha.real, alpha.imag])
-    return GaussianState(mean, VACUUM_VARIANCE * np.eye(2))
+    return GaussianState((alpha.real, alpha.imag), VACUUM_VARIANCE)
 
 
 def thermal_state(nbar: float) -> GaussianState:
     """Return the thermal state with mean photon number nbar.
 
-    Its covariance is ((2 nbar + 1)/4) I; nbar = 0 reproduces the vacuum.
+    Its variance is (2 nbar + 1)/4; nbar = 0 reproduces the vacuum.
     """
     nbar = float(nbar)
     if not math.isfinite(nbar) or nbar < 0:
         raise ValueError("nbar must be a finite non-negative number")
-    variance = (2.0 * nbar + 1.0) * VACUUM_VARIANCE
-    return GaussianState(np.zeros(2), variance * np.eye(2))
+    return GaussianState(np.zeros(2), (2.0 * nbar + 1.0) * VACUUM_VARIANCE)
 
 
 def thermal_loss_channel(state: GaussianState, eta: float, nbar: float) -> GaussianState:
@@ -92,7 +88,7 @@ def thermal_loss_channel(state: GaussianState, eta: float, nbar: float) -> Gauss
 
     The mode passes a beam splitter of transmittance eta whose other input
     is a thermal state with mean photon number nbar.  On moments this is
-    mean -> sqrt(eta) mean and cov -> eta cov + (1 - eta) (2 nbar + 1)/4 I.
+    mean -> sqrt(eta) mean and variance -> eta variance + (1 - eta) (2 nbar + 1)/4.
 
     Args:
         state: Input state.
@@ -107,18 +103,15 @@ def thermal_loss_channel(state: GaussianState, eta: float, nbar: float) -> Gauss
         raise ValueError("nbar must be a finite non-negative number")
     env_variance = (2.0 * nbar + 1.0) * VACUUM_VARIANCE
     scale = math.sqrt(eta)
-    cov = (scale * scale) * state.cov
-    added = (1.0 - eta) * env_variance
-    cov[0, 0] += added
-    cov[1, 1] += added
-    return GaussianState(scale * state.mean, cov)
+    variance = (scale * scale) * state.variance + (1.0 - eta) * env_variance
+    return GaussianState(scale * state.mean, variance)
 
 
 def loss_channel(state: GaussianState, eta: float) -> GaussianState:
     """Apply pure loss of transmittance eta.
 
     Equivalent to mixing with the vacuum: mean -> sqrt(eta) mean and
-    cov -> eta cov + ((1 - eta)/4) I.
+    variance -> eta variance + (1 - eta)/4.
     """
     return thermal_loss_channel(state, eta, 0.0)
 
@@ -137,8 +130,4 @@ def random_displacement(state: GaussianState, v: float) -> GaussianState:
     v = float(v)
     if not math.isfinite(v) or v < 0:
         raise ValueError("displacement variance v must be finite and non-negative")
-    cov = np.array(state.cov)
-    added = v * VACUUM_VARIANCE
-    cov[0, 0] += added
-    cov[1, 1] += added
-    return GaussianState(state.mean, cov)
+    return GaussianState(state.mean, state.variance + v * VACUUM_VARIANCE)

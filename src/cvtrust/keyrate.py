@@ -239,6 +239,8 @@ class ScanConfig:
         for s in self.scenarios:
             if s not in SCENARIOS:
                 raise ValueError(f"unknown scenario {s!r}; valid: {SCENARIOS}")
+        if len(set(self.scenarios)) != len(self.scenarios):
+            raise ValueError(f"scenarios must not repeat, got {list(self.scenarios)}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
         get_rate_function(self.rate_name)
@@ -399,7 +401,7 @@ def run_scan(config: ScanConfig) -> ScanTable:
         np.array([loss_db_to_transmittance(x) for x in config.loss_db]), config.xi0
     )
     rows = []
-    for scenario in sorted(set(config.scenarios)):
+    for scenario in sorted(config.scenarios):
         t_effs, xi_effs = scenario_params(channel, scenario_spec[scenario], scenario)
         points = zip(config.loss_db, t_effs.tolist(), xi_effs.tolist())
         for loss_db, t_eff, xi_eff in points:

@@ -38,14 +38,6 @@ def _checked_nu(nu: float) -> float:
     return nu
 
 
-def _checked_r_squared(nu: float, kind: str) -> float:
-    """r^2 = 1 + 2 nu (homodyne) or 1 + nu (heterodyne), required finite."""
-    r_squared = 1.0 + NOISE_FACTOR[kind] * nu
-    if not math.isfinite(r_squared):
-        raise ValueError(f"noise product nu = {nu} makes the {kind} r^2 overflow")
-    return r_squared
-
-
 @dataclass(frozen=True)
 class RescalePlan:
     """Parameters of the equivalent loss-then-rescale detector.
@@ -81,6 +73,14 @@ class RescalePlan:
         return asdict(self)
 
 
+def _plan(kind: str, eta_d: float, nbar: float | None, nu: float) -> RescalePlan:
+    """The plan with r^2 = 1 + 2 nu (homodyne) or 1 + nu (heterodyne), required finite."""
+    r_squared = 1.0 + NOISE_FACTOR[kind] * nu
+    if not math.isfinite(r_squared):
+        raise ValueError(f"noise product nu = {nu} makes the {kind} r^2 overflow")
+    return RescalePlan(kind, eta_d, nbar, nu, r=math.sqrt(r_squared), eta_e=eta_d / r_squared)
+
+
 def rescale_plan(spec: DetectorSpec) -> RescalePlan:
     """Reduce a noisy detector to its equivalent rescaled lossy detector.
 
@@ -93,16 +93,7 @@ def rescale_plan(spec: DetectorSpec) -> RescalePlan:
     Raises:
         ValueError: If r^2 overflows.
     """
-    nu = spec.noise_product
-    r_squared = _checked_r_squared(nu, spec.kind)
-    return RescalePlan(
-        kind=spec.kind,
-        eta_d=spec.eta_d,
-        nbar=spec.nbar,
-        nu=nu,
-        r=math.sqrt(r_squared),
-        eta_e=spec.eta_d / r_squared,
-    )
+    return _plan(spec.kind, spec.eta_d, spec.nbar, spec.noise_product)
 
 
 def rescale_plan_limit(nu: float, kind: str) -> RescalePlan:
@@ -121,16 +112,7 @@ def rescale_plan_limit(nu: float, kind: str) -> RescalePlan:
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    nu = _checked_nu(nu)
-    r_squared = _checked_r_squared(nu, kind)
-    return RescalePlan(
-        kind=kind,
-        eta_d=1.0,
-        nbar=None,
-        nu=nu,
-        r=math.sqrt(r_squared),
-        eta_e=1.0 / r_squared,
-    )
+    return _plan(kind, 1.0, None, _checked_nu(nu))
 
 
 def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
@@ -138,7 +120,7 @@ def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
 
     With a vacuum input, a noisy homodyne detector shows per-outcome
     variance (1 + 2 nu)/4 and a noisy heterodyne detector shows
-    (1 + nu)/2 per component, so
+    (1 + nu)/2 per component, so nu = (var / floor - 1) / NOISE_FACTOR:
 
         homodyne:    nu = (4 var - 1) / 2
         heterodyne:  nu = 2 var - 1
@@ -164,10 +146,7 @@ def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
         raise ValueError(
             f"vacuum-probe variance {variance} is below the {kind} floor {floor}"
         )
-    if kind == HOMODYNE:
-        nu = (4.0 * variance - 1.0) / 2.0
-    else:
-        nu = 2.0 * variance - 1.0
+    nu = (variance / floor - 1.0) / NOISE_FACTOR[kind]
     if not math.isfinite(nu):
         raise ValueError(
             f"vacuum-probe variance {variance} is too large: its noise product overflows"
@@ -225,11 +204,10 @@ class HarmonizationResult:
 
 
 def _spec_with_noise_product(kind: str, eta_d: float, nu: float) -> DetectorSpec | None:
-    if nu == 0.0:
-        return DetectorSpec(kind, eta_d, 0.0)
-    if eta_d >= 1.0:
+    """The detector of noise product nu, or None where eta_d = 1 makes nbar diverge."""
+    if eta_d >= 1.0 and nu > 0.0:
         return None
-    return DetectorSpec(kind, eta_d, nu / (1.0 - eta_d))
+    return DetectorSpec.from_noise_product(kind, eta_d, nu=nu)
 
 
 def harmonize(specs: list[DetectorSpec] | tuple[DetectorSpec, ...]) -> HarmonizationResult:

@@ -147,10 +147,10 @@ def test_verify_detects_sabotage(capsys, tmp_path):
 
 
 def test_verify_far_apart_means_report_unit_total_variation(capsys, tmp_path):
-    # At amplitude 1e200 the two models' rounded heterodyne means sit about
-    # 1e184 standard deviations apart: the cells fail with TV 1, not an
-    # overflowed number.
-    code, _, _ = run_cli(
+    # At amplitude 1e200 the two models' rounded heterodyne means would sit
+    # about 1e184 standard deviations apart and fail a faithful reduction;
+    # such amplitudes are refused before any cell runs.
+    code, out, err = run_cli(
         capsys,
         "verify",
         "--amplitudes", "1e200",
@@ -159,16 +159,10 @@ def test_verify_far_apart_means_report_unit_total_variation(capsys, tmp_path):
         "--nu", "1e-3",
         "--out", "far",
     )
-    assert code == 1
-    payload = json.loads(
-        (tmp_path / "far.json").read_text(), parse_constant=pytest.fail
-    )
-    heterodyne = [c for c in payload["cells"] if c["kind"] == "heterodyne"]
-    assert len(heterodyne) == 2
-    for cell in heterodyne:
-        assert cell["tv_estimate"] == 1.0
-        assert cell["pass"] is False
-    assert payload["summary"]["worst_tv"] == 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: alphas ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_config_roundtrip_is_byte_identical(capsys, tmp_path):
@@ -383,6 +377,47 @@ def test_inputs_that_would_reach_a_report_as_nan_or_infinity_exit_2(capsys, tmp_
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("rescale", "--kind", "homodyne", "--limit", "--nu", "0.1", "--nbar", "3"), "--nbar"),
+        (("verify", "--amplitudes", "1e7", "--out", "bad"), "alphas"),
+        (
+            (
+                "verify", "--mode", "mc", "--mc-samples", "10000", "--amplitudes", "1e300",
+                "--phases", "1", "--eta-d", "0.7", "--nu", "1e-3", "--out", "bad",
+            ),
+            "alphas",
+        ),
+        (
+            (
+                "scan", "--eta-d", "0.7", "--two-nu", "1e-3",
+                "--scenarios", "trusted,trusted", "--out", "bad",
+            ),
+            "scenarios",
+        ),
+    ],
+    ids=["rescale-limit-nbar", "verify-amplitude-1e7", "verify-mc-amplitude-1e300", "scan-duplicate-scenario"],
+)
+def test_inputs_the_reduction_cannot_honour_exit_2_naming_the_flag_or_key(
+    capsys, tmp_path, argv, key
+):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_accepts_the_largest_amplitude_at_every_phase(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "verify", "--amplitudes", "1e6", "--eta-d", "0.7", "--nu", "1e-3", "--out", "cap"
+    )
+    assert code == 0
+    assert out.startswith("PASS analytic sweep: 16 cells")
 
 
 _VERIFY_BASE = {

@@ -15,7 +15,6 @@ from cvtrust.detectors import (
     sample_outcomes,
 )
 from cvtrust.gaussian import (
-    GaussianState,
     coherent_state,
     loss_channel,
     thermal_state,
@@ -84,19 +83,6 @@ def test_heterodyne_marginal_is_homodyne_variance_plus_quarter():
     het = ideal_heterodyne_density(state)
     hom = ideal_homodyne_density(state)
     assert np.isclose(het.variance, hom.variance + 0.25, rtol=1e-15)
-
-
-@pytest.mark.parametrize(
-    "cov", [np.diag([0.125, 0.5]), np.array([[0.3, 0.05], [0.05, 0.3]])]
-)
-def test_ideal_heterodyne_density_rejects_a_squeezed_state(cov):
-    # Only phase-insensitive states give the equal-variance density that
-    # OutcomeDensity describes; the homodyne x marginal is still defined.
-    state = GaussianState(np.zeros(2), cov)
-    assert state.is_physical()
-    with pytest.raises(ValueError, match="phase-insensitive"):
-        ideal_heterodyne_density(state)
-    assert ideal_homodyne_density(state).variance == cov[0, 0]
 
 
 def test_noisy_homodyne_moments():

@@ -67,30 +67,32 @@ def test_thermal_state_rejects_negative_nbar():
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        GaussianState(np.zeros(3), np.eye(3))
-    with pytest.raises(ValueError):
-        GaussianState(np.zeros(2), np.eye(4))
+        GaussianState(np.zeros(3), 0.25)
     with pytest.raises(ValueError):  # states are single-mode
-        GaussianState(np.zeros(4), 0.25 * np.eye(4))
-    asym = np.array([[0.25, 0.1], [0.0, 0.25]])
-    with pytest.raises(ValueError):
-        GaussianState(np.zeros(2), asym)
+        GaussianState(np.zeros(4), 0.25)
+    for bad in (0.0, -0.25, np.inf, np.nan):
+        with pytest.raises(ValueError, match="variance"):
+            GaussianState(np.zeros(2), bad)
+    state = GaussianState([1, 2], np.float64(0.5))
+    assert state.mean.dtype == float and type(state.variance) is float
 
 
 def test_state_arrays_are_immutable():
-    state = vacuum_state()
+    mean = np.zeros(2)
+    state = GaussianState(mean, 0.25)
+    mean[0] = 1.0  # the state holds its own copy
+    assert np.array_equal(state.mean, np.zeros(2))
     with pytest.raises(ValueError):
-        state.cov[0, 0] = 1.0
+        state.mean[0] = 1.0
 
 
 def test_is_physical():
     assert vacuum_state().is_physical()
     assert thermal_state(3.0).is_physical()
-    squeezed_too_hard = GaussianState(np.zeros(2), np.diag([0.2, 0.2]))
-    assert not squeezed_too_hard.is_physical()
-    # an asymmetric but allowed covariance: product of variances >= 1/16
-    ok = GaussianState(np.zeros(2), np.diag([0.1, 0.65]))
-    assert ok.is_physical()
+    assert not GaussianState(np.zeros(2), 0.2).is_physical()
+    # below the vacuum variance by less than the tolerance
+    assert GaussianState(np.zeros(2), 0.25 - 1e-13).is_physical()
+    assert not GaussianState(np.zeros(2), 0.25 - 1e-13).is_physical(tol=0.0)
 
 
 def test_beam_splitter_eta_one_is_identity():
@@ -130,7 +132,8 @@ def test_beam_splitter_preserves_purity():
     # a coherent state mixed with the vacuum stays a pure coherent state
     out = beam_splitter_dilation_oracle(2j, 0.42, 0.0)
     assert np.isclose(np.linalg.det(4 * out["cov"]), 1.0, rtol=1e-12)
-    assert GaussianState(out["mean"], out["cov"]).is_physical()
+    assert np.array_equal(out["cov"], out["cov"][0, 0] * np.eye(2))
+    assert GaussianState(out["mean"], out["cov"][0, 0]).is_physical()
 
 
 def test_loss_channel_identity_at_full_transmittance():
@@ -199,4 +202,5 @@ def test_operations_preserve_physicality(eta, nbar, v, amp):
     state = random_displacement(state, v)
     assert state.is_physical()
     mixed = beam_splitter_dilation_oracle(amp + 0.5j, eta, nbar)
-    assert GaussianState(mixed["mean"], mixed["cov"]).is_physical()
+    assert np.array_equal(mixed["cov"], mixed["cov"][0, 0] * np.eye(2))
+    assert GaussianState(mixed["mean"], mixed["cov"][0, 0]).is_physical()
