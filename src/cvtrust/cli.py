@@ -7,9 +7,10 @@ Subcommands:
     calibrate  infer the detector noise product from vacuum-probe data
 
 Exit codes: 0 on success or a passing sweep, 1 when a verification or
-calibration fails, 2 on usage or configuration errors.  Report files are
-written atomically (temp file, then rename).  The default output
-directory is taken from CVTRUST_OUTPUT_DIR when set.
+calibration fails, 2 on usage or configuration errors, 141 (128 + SIGPIPE)
+when standard output is closed early (reports already written are kept).
+Report files are written atomically (temp file, then rename).  The
+default output directory is taken from CVTRUST_OUTPUT_DIR when set.
 """
 
 from __future__ import annotations
@@ -419,10 +420,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone; what is still buffered goes to devnull at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ are indistinguishable on coherent inputs:
   Kolmogorov-Smirnov tests with a Holm correction across the grid.
 
 scipy is imported inside the functions that call it, so the rest of the
-package (and the scan, rescale and calibrate commands) loads without it.
+package (and the scan, rescale and calibrate commands) loads without it;
+an analytic sweep needs only scipy.special.
 
 Independent oracles are included.  Two integrate Gaussian mixtures of
 coherent states by 2-d quadrature, sharing no moment arithmetic with
@@ -59,6 +60,9 @@ MAX_MC_SAMPLES = 10**7
 # analytic cells, and by 1e200 it overflows the Monte Carlo moments to NaN.
 MAX_AMPLITUDE = 1e6
 
+# Smallest param_tol a sweep accepts: 64 eps; faithful gaps stay within 2 eps.
+MIN_PARAM_TOL = 2.0**-46
+
 CSV_COLUMNS = (
     "alpha_re",
     "alpha_im",
@@ -82,7 +86,7 @@ class SweepConfig:
             grids, spec-major.
         mc_samples: Draws per model per cell for Monte Carlo sweeps.
         seed: Base RNG seed; each cell uses its own substreams.
-        param_tol: Analytic pass threshold on mean and variance gaps.
+        param_tol: Analytic pass threshold on mean and variance gaps, >= 64 eps.
         tv_tol: Analytic pass threshold on the total-variation distance
             between the two outcome densities, computed in closed form.
         ks_alpha: Family-wise level of the Holm-corrected KS tests.
@@ -121,6 +125,8 @@ class SweepConfig:
             value = real_number(name, getattr(self, name))
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be a positive finite number")
+        if self.param_tol < MIN_PARAM_TOL:
+            raise ValueError(f"param_tol must be at least {MIN_PARAM_TOL!r} (64 eps)")
         if not 0.0 < real_number("ks_alpha", self.ks_alpha) < 1.0:
             raise ValueError("ks_alpha must lie strictly between 0 and 1")
 
@@ -305,35 +311,33 @@ def reduced_mc_config(
     )
 
 
-def _cells(config: SweepConfig):
-    """The grid spec-major, with one rescale plan per spec.
-
-    Yields (alpha, spec, eta_e, r_used, state, noisy) per cell, where r_used
-    is the plan's r, dropped or inflated by 1 percent under sabotage.
-    """
+def _specs(config: SweepConfig):
+    """Each spec with its plan's eta_e and r, dropped or inflated by 1 percent under sabotage."""
     for spec in config.specs:
         plan = rescale_plan(spec)
         sabotaged = {"none": plan.r, "skip-rescale": 1.0, "scale-r": plan.r * 1.01}
-        r_used = sabotaged[config.sabotage]
+        yield spec, plan.eta_e, sabotaged[config.sabotage]
+
+
+def _cells(config: SweepConfig):
+    """The grid spec-major: (alpha, spec, eta_e, r_used, state, noisy) per cell."""
+    for spec, eta_e, r_used in _specs(config):
         for alpha in config.alphas:
             state = coherent_state(alpha)
-            noisy = noisy_measurement_density(state, spec)
-            yield alpha, spec, plan.eta_e, r_used, state, noisy
+            yield alpha, spec, eta_e, r_used, state, noisy_measurement_density(state, spec)
 
 
-def _relative_gap(a, b, floor: float) -> float:
-    """Largest relative gap between paired components; equal ones give 0."""
-    gaps = [
-        0.0 if x == y else float(abs(x - y)) / max(floor, abs(x), abs(y))
-        for x, y in zip(a, b)
-    ]
-    return float(max(gaps))
+def _relative_gap(a, b, floor: float) -> np.ndarray | np.floating:
+    """Largest relative gap between paired components along the last axis; equal ones give 0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = np.maximum(floor, np.maximum(np.abs(a), np.abs(b)))
+    return np.where(a == b, 0.0, np.abs(a - b) / scale).max(axis=-1)
 
 
 _HERMITE_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite_e.hermegauss(64)
 _HERMITE_WEIGHTS = _HERMITE_WEIGHTS / math.sqrt(2.0 * math.pi)
 # A disk whose radius exceeds this many node spans of the wider density
-# takes the chord route in _tv_distance.
+# takes the chord route in _tv_rows.
 _WIDE_DISK = 1.5
 
 
@@ -344,14 +348,21 @@ def _normal_mass(lo, hi):
     return np.where(lo > 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
 
 
-def _tv_distance(d1: OutcomeDensity, d2: OutcomeDensity) -> float:
-    """Exact total variation between two 1-d or isotropic 2-d Gaussians.
+def _disk_mass(x, nc):
+    """P(chi'^2_2(nc) <= x), as scipy.stats computes it: chdtr at nc = 0, else chndtr."""
+    from scipy.special import chdtr, chndtr
 
-    These are the only outcome densities coherent inputs produce.  In
-    units of the narrower density's standard deviation the pair is
-    N(0, 1) against N(delta, s^2) with s^2 = 1 + a >= 1, and the total
-    variation is the mass the narrower density gains on the region where
-    it dominates:
+    return np.where(nc == 0.0, chdtr(2.0, x), chndtr(x, 2.0, nc))
+
+
+def _tv_rows(m1: np.ndarray, v1: float, m2: np.ndarray, v2: float) -> np.ndarray:
+    """Exact total variation between N(m1[i], v1) and N(m2[i], v2), row by row.
+
+    Means have shape (n, 1) or (n, 2): 1-d or isotropic 2-d Gaussians, the
+    only outcome densities coherent inputs produce.  In units of the
+    narrower density's standard deviation a row is N(0, 1) against
+    N(delta, s^2) with s^2 = 1 + a >= 1, and the total variation is the
+    mass the narrower density gains where it dominates:
 
     * equal variances: erf(|delta| / (2 sqrt 2));
     * 1-d: the interval between the two crossing points, as normal-CDF
@@ -363,55 +374,65 @@ def _tv_distance(d1: OutcomeDensity, d2: OutcomeDensity) -> float:
       integrated across the perpendicular coordinate by 64-node
       Gauss-Hermite quadrature.
 
-    Identical parameters give exactly 0.0.  Pairs whose Bhattacharyya
+    Identical parameters give exactly 0.0.  Rows whose Bhattacharyya
     coefficient, an upper bound on 1 - TV, lies below exp(-40) give 1.0,
     the correctly rounded value; this also keeps far-apart means from
     overflowing.
     """
-    if np.array_equal(d1.mean, d2.mean) and d1.variance == d2.variance:
-        return 0.0
-    if d1.variance > d2.variance:
-        d1, d2 = d2, d1
-    v1 = d1.variance
-    a = (d2.variance - v1) / v1
+    if v1 > v2:
+        m1, v1, m2, v2 = m2, v2, m1, v1
+    a = (v2 - v1) / v1
     s = math.sqrt(1.0 + a)
-    delta = math.dist(d2.mean, d1.mean) / math.sqrt(v1)
-    if delta * delta / (4.0 * (2.0 + a)) > 40.0:
-        return 1.0
+    sd = math.sqrt(v1)
+    if m1.shape[1] == 1:
+        delta = (m2 - m1)[:, 0] / sd
+    else:
+        # math.dist per row: its rounding differs from np.hypot's.
+        delta = np.array([math.dist(p, q) for p, q in zip(m2.tolist(), m1.tolist())]) / sd
+    dist = np.abs(delta)
+    with np.errstate(over="ignore"):
+        far = dist * dist / (4.0 * (2.0 + a)) > 40.0
+    tv = np.where(far, 1.0, 0.0)
+    rows = ~far & ((m1 != m2).any(axis=1) | (v1 != v2))
     if a == 0.0:
-        return math.erf(delta / (2.0 * math.sqrt(2.0)))
+        tv[rows] = [math.erf(d / (2.0 * math.sqrt(2.0))) for d in dist[rows].tolist()]
+        return tv
     log_s2 = math.log1p(a)
-    if d1.ndim == 1:
-        delta = float(d2.mean[0] - d1.mean[0]) / math.sqrt(v1)
+    d = delta[rows]
+    if m1.shape[1] == 1:
         # Crossing points: roots of a z^2 + 2 delta z - delta^2 - s^2 log s^2,
         # in the cancellation-free form.
-        root = s * math.sqrt(delta * delta + a * log_s2)
-        q = -(delta + math.copysign(root, delta))
-        lo, hi = sorted((q / a, -(delta * delta + s * s * log_s2) / q))
-        tv = _normal_mass(lo, hi) - _normal_mass((lo - delta) / s, (hi - delta) / s)
+        q = -(d + np.copysign(s * np.sqrt(d * d + a * log_s2), d))
+        lo, hi = np.sort([q / a, -(d * d + s * s * log_s2) / q], axis=0)
+        gained = _normal_mass(lo, hi) - _normal_mass((lo - d) / s, (hi - d) / s)
     else:
         # The narrower density dominates inside the disk centred at
         # -delta / a of squared radius s^2 (delta^2 + 2 a log s^2) / a^2.
-        nc = (delta / a) ** 2
+        nc = np.array([(x / a) ** 2 for x in d.tolist()])
         radius2 = s * s * (nc + 2.0 * log_s2 / a)
-        if radius2 <= (_WIDE_DISK * s * _HERMITE_NODES[-1]) ** 2:
-            from scipy.stats import ncx2
+        small = radius2 <= (_WIDE_DISK * s * _HERMITE_NODES[-1]) ** 2
+        gained = np.empty(d.size)
+        r2, c = radius2[small], nc[small]
+        gained[small] = _disk_mass(r2, c) - _disk_mass(r2 / (s * s), c * s * s)
 
-            tv = ncx2.cdf(radius2, 2, nc) - ncx2.cdf(radius2 / (s * s), 2, nc * s * s)
-        else:
-            # A wide disk: the noncentral CDFs cancel to their rounding
-            # error, so integrate the exact chord masses along delta over
-            # the perpendicular coordinate y instead.
-            def chord_mass(y, shift, scale):
-                half = np.sqrt(s * s * (delta * delta + 2.0 * a * log_s2) - (a * y) ** 2)
-                hi = (delta * delta + 2.0 * s * s * log_s2 - a * y * y) / (half + delta)
-                lo = -(half + delta) / a
-                return _normal_mass((lo - shift) / scale, (hi - shift) / scale)
+        # Wide disks, one row at a time: chord masses along delta at offset y.
+        def chord_mass(y, shift, scale, delta):
+            half = np.sqrt(s * s * (delta * delta + 2.0 * a * log_s2) - (a * y) ** 2)
+            hi = (delta * delta + 2.0 * s * s * log_s2 - a * y * y) / (half + delta)
+            lo = -(half + delta) / a
+            return _normal_mass((lo - shift) / scale, (hi - shift) / scale)
+        u = _HERMITE_NODES
+        gained[~small] = [
+            _HERMITE_WEIGHTS @ (chord_mass(u, 0.0, 1.0, x) - chord_mass(s * u, x, s, x))
+            for x in d[~small].tolist()
+        ]
+    tv[rows] = np.where(gained > 0.0, np.minimum(gained, 1.0), 0.0)
+    return tv
 
-            u = _HERMITE_NODES
-            gained = chord_mass(u, 0.0, 1.0) - chord_mass(s * u, delta, s)
-            tv = _HERMITE_WEIGHTS @ gained
-    return min(1.0, max(0.0, float(tv)))
+
+def _tv_distance(d1: OutcomeDensity, d2: OutcomeDensity) -> float:
+    """Exact total variation between two outcome densities: one row of _tv_rows."""
+    return float(_tv_rows(d1.mean[None], d1.variance, d2.mean[None], d2.variance)[0])
 
 
 # scipy's ks_2samp computes exact p-values up to this many draws per sample.
@@ -488,22 +509,25 @@ def analytic_sweep(config: SweepConfig) -> EquivalenceReport:
     gap and the total-variation distance between the noisy-detector
     density and the (possibly sabotaged) rescaled lossy density fall
     within the configured tolerances.  The distance is exact; its
-    report field keeps the name tv_estimate.
+    report field keeps the name tv_estimate.  Specs run one at a time,
+    over all amplitudes as arrays: variances do not depend on alpha, and
+    means are linear in it, so unit-amplitude densities give the factors.
     """
+    xy = np.array([(a.real, a.imag) for a in config.alphas])
+    unit = coherent_state(1.0)
     cells = []
-    for alpha, spec, eta_e, r_used, state, noisy in _cells(config):
-        equivalent = rescaled_lossy_density(state, spec.kind, eta_e, r_used)
-        mean_gap = _relative_gap(noisy.mean, equivalent.mean, floor=1.0)
-        var_gap = _relative_gap([noisy.variance], [equivalent.variance], floor=0.0)
-        tv = _tv_distance(noisy, equivalent)
-        passed = (
-            mean_gap <= config.param_tol
-            and var_gap <= config.param_tol
-            and tv <= config.tv_tol
-        )
-        cells.append(
-            CellResult(alpha, spec, mean_gap, var_gap, tv_estimate=tv, passed=passed)
-        )
+    for spec, eta_e, r_used in _specs(config):
+        noisy = noisy_measurement_density(unit, spec)
+        lossy = rescaled_lossy_density(unit, spec.kind, eta_e, 1.0)
+        equivalent = lossy.scaled(r_used)
+        noisy_means = noisy.mean[0] * xy[:, : noisy.ndim]
+        lossy_means = r_used * (lossy.mean[0] * xy[:, : noisy.ndim])
+        mean_gaps = _relative_gap(noisy_means, lossy_means, floor=1.0)
+        var_gap = float(_relative_gap([noisy.variance], [equivalent.variance], floor=0.0))
+        tvs = _tv_rows(noisy_means, noisy.variance, lossy_means, equivalent.variance)
+        passed = (np.maximum(mean_gaps, var_gap) <= config.param_tol) & (tvs <= config.tv_tol)
+        rows = zip(config.alphas, mean_gaps.tolist(), tvs.tolist(), passed.tolist())
+        cells += [CellResult(a, spec, g, var_gap, tv_estimate=t, passed=p) for a, g, t, p in rows]
     return EquivalenceReport("analytic", config, tuple(cells), all(c.passed for c in cells))
 
 
@@ -536,9 +560,9 @@ def _mc_cell(config: SweepConfig, indexed_cell: tuple) -> CellResult:
         pairs = [(a, b)]
     stat, pvalue = _ks_cell(pairs)
     xs, ys = zip(*pairs)
-    mean_gap = _relative_gap(map(np.mean, xs), map(np.mean, ys), floor=1.0)
-    var_gap = _relative_gap(
-        [np.var(x, ddof=1) for x in xs], [np.var(y, ddof=1) for y in ys], floor=0.0
+    mean_gap = float(_relative_gap([np.mean(x) for x in xs], [np.mean(y) for y in ys], floor=1.0))
+    var_gap = float(
+        _relative_gap([np.var(x, ddof=1) for x in xs], [np.var(y, ddof=1) for y in ys], floor=0.0)
     )
     return CellResult(alpha, spec, mean_gap, var_gap, ks_statistic=stat, ks_pvalue=pvalue)
 

@@ -63,10 +63,9 @@ class RateParams:
         return asdict(self)
 
 
-# reference_rate leaves its textbook forms, which cancel or overflow,
-# above this photon number or output variance b, and where |b - a| is
-# below _NEAR_SYMMETRIC a.  Between the two the textbook forms stay, so
-# the rates there keep their bits.
+# reference_rate leaves its textbook forms, which cancel or overflow, above
+# output variance b = _LARGE_NOISE and where |b - a| < _NEAR_SYMMETRIC a; in
+# between they stay, so the rates there keep their bits.
 _LARGE_NOISE = 1e8
 _NEAR_SYMMETRIC = 1e-4
 
@@ -75,9 +74,9 @@ def _entropy_photons(x: float) -> float:
     """Von Neumann entropy (bits) of a thermal state with x mean photons."""
     if x <= 0:
         return 0.0
-    if x > _LARGE_NOISE:
-        # (x + 1) log2(x + 1) - x log2 x loses every digit once x + 1
-        # rounds to x; this form has no difference of large terms.
+    if x > 4.0:
+        # (x + 1) log2(x + 1) - x log2 x loses about log10(x log2 x) digits;
+        # this form has no difference of large terms.  At V_A = 4, x < 2.
         return math.log2(x + 1.0) + x * math.log1p(1.0 / x) / math.log(2.0)
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 

@@ -751,10 +751,13 @@ codes = [
 ]
 before_verify = scipy_modules()
 pools_before_verify = pool_modules()
-codes.append(main(["verify", "--eta-d", "0.7", "--nu", "1e-3", "--amplitudes", "1",
-                   "--phases", "1", "--out", out + "/verify"]))
+one_cell = ["verify", "--eta-d", "0.7", "--nu", "1e-3", "--amplitudes", "1", "--phases", "1"]
+codes.append(main(one_cell + ["--out", out + "/verify"]))
+after_verify = scipy_modules()
+codes.append(main(one_cell + ["--mode", "mc", "--mc-samples", "10000", "--out", out + "/mc"]))
 print(json.dumps({"codes": codes, "before_verify": before_verify,
-                  "after_verify": len(scipy_modules()), "after_import": after_import,
+                  "after_verify": after_verify, "after_mc": scipy_modules(),
+                  "after_import": after_import,
                   "pools_before_verify": pools_before_verify}), file=sys.stderr)
 """
 
@@ -774,12 +777,49 @@ def test_only_verify_loads_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["before_verify"] == []
-    assert result["after_verify"] > 0  # the probe does see scipy once it loads
+    # An analytic verify needs scipy.special only; the Monte Carlo control
+    # shows that the probe does see scipy.stats once it loads.
+    assert "scipy.special" in result["after_verify"]
+    assert [m for m in result["after_verify"] if m.split(".")[:2] == ["scipy", "stats"]] == []
+    assert "scipy.stats" in result["after_mc"]
     # The Monte Carlo process pool is imported by the sweep, not by the CLI.
     assert result["after_import"] == []
     assert result["pools_before_verify"] == []
+
+
+def test_param_tol_below_the_floor_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", "--param-tol", "1e-17", "--out", "low")
+    assert code == 2 and out == ""
+    assert err.startswith("error: param_tol must be at least ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_verify_on_a_closed_pipe_exits_141_and_keeps_its_reports(tmp_path, unbuffered):
+    package_root = str(Path(cvtrust.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    # 177 failing cells give more than one line of output, and the first
+    # write comes only after the sweep, when the read end is long closed.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cvtrust.cli", "verify", "--tv-tol", "1e-16", "--out", "y"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=tmp_path,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert "Traceback" not in err and "Exception ignored" not in err
+    report = json.loads((tmp_path / "y.json").read_text(), parse_constant=pytest.fail)
+    assert report["summary"]["rejections"] == 177
+    assert (tmp_path / "y.csv").read_text().count("\n") == 1025
 
 
 # Every argv of the four subcommands, config and samples files included,

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, ncx2
 
 from cvtrust import equivalence
 from cvtrust.channel import ChannelSpec, transmit
@@ -22,7 +22,11 @@ from cvtrust.rescaling import rescale_plan
 from cvtrust.equivalence import (
     CSV_COLUMNS,
     MAX_MC_SAMPLES,
+    MIN_PARAM_TOL,
+    SABOTAGE_MODES,
+    CellResult,
     SweepConfig,
+    _disk_mass,
     _ks_cell,
     _tv_distance,
     analytic_sweep,
@@ -73,6 +77,30 @@ def test_sweep_config_validation():
         small_config(param_tol=0.0)
     with pytest.raises(ValueError):
         small_config(ks_alpha=1.0)
+
+
+def test_param_tol_floor_is_64_eps():
+    assert MIN_PARAM_TOL == 64 * np.finfo(float).eps
+    for bad in (1e-17, math.nextafter(MIN_PARAM_TOL, 0.0)):
+        with pytest.raises(ValueError, match="param_tol"):
+            small_config(param_tol=bad)
+    assert small_config(param_tol=MIN_PARAM_TOL).param_tol == MIN_PARAM_TOL
+
+
+@pytest.mark.parametrize("amplitudes", [(0.0, 1.0, 3.0, 5.0), (0.0, 1e-9, 1e3, 1e6)])
+def test_faithful_sweep_passes_at_the_param_tol_floor(amplitudes):
+    config = default_sweep_config(
+        alphas=default_alpha_grid(amplitudes), param_tol=MIN_PARAM_TOL
+    )
+    report = analytic_sweep(config)
+    assert report.passed and report.n_rejections == 0
+
+
+@pytest.mark.parametrize(
+    "sabotage, rejections", [("none", 0), ("skip-rescale", 768), ("scale-r", 1024)]
+)
+def test_sabotage_rejection_counts_at_default_tolerances(sabotage, rejections):
+    assert analytic_sweep(default_sweep_config(sabotage=sabotage)).n_rejections == rejections
 
 
 def test_sweep_config_rejects_non_finite_inputs_and_oversized_samples():
@@ -273,6 +301,62 @@ def test_tv_distance_far_apart_and_unsupported_shapes():
     assert _tv_distance(_gaussian(0.0, 0.25), _gaussian(50.0, 0.25)) == 1.0
     huge = _tv_distance(_gaussian((1e200, 0.0), 0.5), _gaussian((0.0, 1e200), 0.5001))
     assert huge == 1.0
+
+
+def test_disk_mass_equals_ncx2_cdf_bit_for_bit():
+    # The small-disk route evaluates x up to (1.5 s h)^2, about 499 s^2 for
+    # the largest Hermite node h, and nc up to x; both reach 0 exactly.
+    rng = np.random.default_rng(21)
+    uniform = rng.uniform(0.0, 1000.0, (2, 20_000))
+    tiny = 10.0 ** rng.uniform(-300.0, 3.0, (2, 10_000))
+    x = np.concatenate([uniform[0], tiny[0], np.zeros(200), uniform[0, :1000]])
+    nc = np.concatenate([uniform[1], tiny[1], rng.uniform(0.0, 50.0, 200), np.zeros(1000)])
+    assert np.array_equal(_disk_mass(x, nc), ncx2.cdf(x, 2, nc))
+
+
+def _per_cell_reference(config):
+    """The analytic sweep one cell at a time, from the public per-cell functions."""
+    cells = []
+    for spec in config.specs:
+        plan = rescale_plan(spec)
+        r_used = {"none": plan.r, "skip-rescale": 1.0, "scale-r": plan.r * 1.01}
+        for alpha in config.alphas:
+            state = coherent_state(alpha)
+            noisy = noisy_measurement_density(state, spec)
+            lossy = rescaled_lossy_density(state, spec.kind, plan.eta_e, r_used[config.sabotage])
+            mean_gap = max(
+                0.0 if x == y else float(abs(x - y)) / max(1.0, abs(x), abs(y))
+                for x, y in zip(noisy.mean, lossy.mean)
+            )
+            v, w = noisy.variance, lossy.variance
+            var_gap = 0.0 if v == w else abs(v - w) / max(v, w)
+            tv = _tv_distance(noisy, lossy)
+            passed = max(mean_gap, var_gap) <= config.param_tol and tv <= config.tv_tol
+            cells.append(CellResult(alpha, spec, mean_gap, var_gap, tv_estimate=tv, passed=passed))
+    return cells
+
+
+@pytest.mark.parametrize("sabotage", SABOTAGE_MODES)
+@pytest.mark.parametrize("amplitudes", [(0.0, 1.0, 3.0, 5.0), (0.0, 1e-9, 1e3, 1e6)])
+def test_analytic_sweep_equals_its_per_cell_reference(monkeypatch, sabotage, amplitudes):
+    # With 32 amplitudes per spec, only the wide-disk route's chord masses
+    # reach _normal_mass as arrays over the 64 Gauss-Hermite nodes.
+    sizes = []
+    normal_mass = equivalence._normal_mass
+    monkeypatch.setattr(
+        equivalence, "_normal_mass", lambda lo, hi: sizes.append(lo.size) or normal_mass(lo, hi)
+    )
+    config = default_sweep_config(alphas=default_alpha_grid(amplitudes), sabotage=sabotage)
+    report = analytic_sweep(config)
+    if amplitudes[-1] == 1e6:
+        # the large amplitudes reach the wide-disk route, and sabotage the far one
+        assert 64 in sizes
+        assert (sabotage == "none") != any(c.tv_estimate == 1.0 for c in report.cells)
+    reference = _per_cell_reference(config)
+    assert len(report.cells) == len(reference) == 1024
+    for got, want in zip(report.cells, reference):
+        assert got == want
+        assert all(type(getattr(got, f)) is float for f in ("mean_gap", "var_gap", "tv_estimate"))
 
 
 @pytest.mark.parametrize("decimals", [None, 2])

@@ -153,8 +153,8 @@ def _rate_by_decimal(t, xi, kind, v_mod):
         # b above 1e8: huge noise, or a huge modulation variance
         (0.5, 1e20, 4.0, 0.0),
         (0.5, 1e300, 4.0, 0.0),
-        (0.9, 0.01, 1e9, 1e-8),
-        (1.0, 0.01, 1e9, 1e-8),
+        (0.9, 0.01, 1e9, 1e-12),
+        (1.0, 0.01, 1e9, 1e-12),
         (0.99, 0.02, 1e12, 1e-8),
     ],
 )
