@@ -55,7 +55,7 @@ from .rescaling import (
 
 OUTPUT_DIR_ENV = "CVTRUST_OUTPUT_DIR"
 
-# Largest number of points a start:stop:step loss grid may expand to.
+# Largest number of points in a loss grid, and of cells in a verify grid.
 MAX_GRID_POINTS = 10**6
 
 
@@ -185,18 +185,23 @@ def _sweep_config_from_args(args: argparse.Namespace) -> tuple[SweepConfig, str]
             grid_kwargs["nus"] = tuple(args.nu)
         overrides["specs"] = default_spec_grid(**grid_kwargs)
     if args.amplitudes is not None or args.phases is not None:
-        alpha_kwargs = {}
+        amplitudes, n_phases = default_alpha_grid.__defaults__
         if args.amplitudes is not None:
-            alpha_kwargs["amplitudes"] = _parse_float_list(args.amplitudes)
+            amplitudes = _parse_float_list(args.amplitudes)
         if args.phases is not None:
-            alpha_kwargs["n_phases"] = args.phases
-        overrides["alphas"] = default_alpha_grid(**alpha_kwargs)
+            n_phases = args.phases
+        n_specs = len(overrides.get("specs", base.specs))
+        if len(amplitudes) * n_phases * n_specs > MAX_GRID_POINTS:
+            raise ValueError(f"--amplitudes x --phases x specs is more than {MAX_GRID_POINTS} cells")
+        overrides["alphas"] = default_alpha_grid(amplitudes, n_phases)
     for name in ("mc_samples", "seed", "param_tol", "tv_tol", "ks_alpha", "sabotage"):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
     if overrides:
         base = replace(base, **overrides)
+    if base.n_cells > MAX_GRID_POINTS:
+        raise ValueError(f"alphas x specs is {base.n_cells} cells, more than {MAX_GRID_POINTS}")
     return base, mode
 
 

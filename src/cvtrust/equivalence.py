@@ -49,10 +49,10 @@ from .rescaling import rescale_plan
 SABOTAGE_MODES = ("none", "skip-rescale", "scale-r")
 
 # Largest mc_samples a sweep accepts.  A heterodyne Monte Carlo cell peaks at
-# about 163 bytes per draw (ru_maxrss at 10^6 and 2x10^6 draws: the samples,
-# the rescaled copy, the KS step's sorted, merged and ranked arrays): 1.6 GB.
-# A sweep has one cell in flight per worker process, so on two CPUs a sweep
-# at the cap peaks at about 3.2 GB in total.
+# about 162 bytes per draw (ru_maxrss from 10^6 to 2x10^6 draws: the samples,
+# the KS step's sorted, merged and ranked arrays; 160 with glibc's mmap
+# threshold fixed), 1.6 GB at the cap.  A sweep has one cell in flight per
+# worker process, so on two CPUs a sweep at the cap peaks at about 3.2 GB.
 MAX_MC_SAMPLES = 10**7
 
 # Largest |Re alpha| or |Im alpha| a sweep accepts.  The two models round
@@ -312,19 +312,18 @@ def reduced_mc_config(
 
 
 def _specs(config: SweepConfig):
-    """Each spec with its plan's eta_e and r, dropped or inflated by 1 percent under sabotage."""
+    """Each spec's model (spec, noisy, lossy, r_used), the densities at unit amplitude.
+
+    lossy is taken before the rescale by r_used, the plan's r, dropped or inflated
+    by 1 percent under sabotage.  A cell's means are these times (Re, Im)(alpha)[:ndim].
+    """
+    unit = coherent_state(1.0)
     for spec in config.specs:
         plan = rescale_plan(spec)
         sabotaged = {"none": plan.r, "skip-rescale": 1.0, "scale-r": plan.r * 1.01}
-        yield spec, plan.eta_e, sabotaged[config.sabotage]
-
-
-def _cells(config: SweepConfig):
-    """The grid spec-major: (alpha, spec, eta_e, r_used, state, noisy) per cell."""
-    for spec, eta_e, r_used in _specs(config):
-        for alpha in config.alphas:
-            state = coherent_state(alpha)
-            yield alpha, spec, eta_e, r_used, state, noisy_measurement_density(state, spec)
+        noisy = noisy_measurement_density(unit, spec)
+        lossy = rescaled_lossy_density(unit, spec.kind, plan.eta_e, 1.0)
+        yield spec, noisy, lossy, sabotaged[config.sabotage]
 
 
 def _relative_gap(a, b, floor: float) -> np.ndarray | np.floating:
@@ -510,15 +509,11 @@ def analytic_sweep(config: SweepConfig) -> EquivalenceReport:
     density and the (possibly sabotaged) rescaled lossy density fall
     within the configured tolerances.  The distance is exact; its
     report field keeps the name tv_estimate.  Specs run one at a time,
-    over all amplitudes as arrays: variances do not depend on alpha, and
-    means are linear in it, so unit-amplitude densities give the factors.
+    over all amplitudes as arrays.
     """
     xy = np.array([(a.real, a.imag) for a in config.alphas])
-    unit = coherent_state(1.0)
     cells = []
-    for spec, eta_e, r_used in _specs(config):
-        noisy = noisy_measurement_density(unit, spec)
-        lossy = rescaled_lossy_density(unit, spec.kind, eta_e, 1.0)
+    for spec, noisy, lossy, r_used in _specs(config):
         equivalent = lossy.scaled(r_used)
         noisy_means = noisy.mean[0] * xy[:, : noisy.ndim]
         lossy_means = r_used * (lossy.mean[0] * xy[:, : noisy.ndim])
@@ -545,21 +540,20 @@ def _mc_workers(n_cells: int) -> int:
 def _mc_cell(config: SweepConfig, indexed_cell: tuple) -> CellResult:
     """Sample and KS-test one Monte Carlo cell.
 
-    indexed_cell is (index, cell) with cell as _cells yields it; the
-    index picks the cell's two RNG substreams, so the result does not
-    depend on which process runs the cell or in what order.
+    indexed_cell is (index, (alpha, *model)) with the spec's model as _specs
+    yields it; the index picks the cell's two RNG substreams, so the result
+    does not depend on which process runs the cell or in what order.
     """
-    index, (alpha, spec, eta_e, r_used, state, noisy) = indexed_cell
-    lossy_ideal = rescaled_lossy_density(state, spec.kind, eta_e, 1.0)
-    factor = 1.0 / r_used
-    a = factor * sample_outcomes(noisy, config.mc_samples, config.seed, 2 * index)
-    b = sample_outcomes(lossy_ideal, config.mc_samples, config.seed, 2 * index + 1)
-    if np.iscomplexobj(a):
-        pairs = [(a.real, b.real), (a.imag, b.imag)]
-    else:
-        pairs = [(a, b)]
-    stat, pvalue = _ks_cell(pairs)
-    xs, ys = zip(*pairs)
+    index, (alpha, spec, noisy, lossy, r_used) = indexed_cell
+    xy = np.array([alpha.real, alpha.imag])[: noisy.ndim]
+    noisy = OutcomeDensity(noisy.mean[0] * xy, noisy.variance)
+    lossy = OutcomeDensity(lossy.mean[0] * xy, lossy.variance)
+    a = (1.0 / r_used) * sample_outcomes(noisy, config.mc_samples, config.seed, 2 * index)
+    b = sample_outcomes(lossy, config.mc_samples, config.seed, 2 * index + 1)
+    # One column view per component: a.mean(axis=0) would sum in another
+    # order and move the last bits of the gaps.
+    xs, ys = list(a.T), list(b.T)
+    stat, pvalue = _ks_cell(list(zip(xs, ys)))
     mean_gap = float(_relative_gap([np.mean(x) for x in xs], [np.mean(y) for y in ys], floor=1.0))
     var_gap = float(
         _relative_gap([np.var(x, ddof=1) for x in xs], [np.var(y, ddof=1) for y in ys], floor=0.0)
@@ -592,7 +586,7 @@ def monte_carlo_sweep(config: SweepConfig) -> EquivalenceReport:
     import scipy.stats  # noqa: F401
 
     run_cell = partial(_mc_cell, config)
-    todo = list(enumerate(_cells(config)))
+    todo = list(enumerate((a, *model) for model in _specs(config) for a in config.alphas))
     workers = _mc_workers(len(todo))
     if workers == 1:
         cells = [run_cell(c) for c in todo]

@@ -63,10 +63,11 @@ class RateParams:
         return asdict(self)
 
 
-# reference_rate leaves its textbook forms, which cancel or overflow, above
-# output variance b = _LARGE_NOISE and where |b - a| < _NEAR_SYMMETRIC a; in
-# between they stay, so the rates there keep their bits.
-_LARGE_NOISE = 1e8
+# reference_rate leaves its textbook forms, which cancel or overflow (2.8e-9
+# bits off at b = 1e5, 9.4e-4 at 1e8), above output variance b = _LARGE_NOISE
+# and where |b - a| < _NEAR_SYMMETRIC a; in between they stay, so the rates
+# there keep their bits.
+_LARGE_NOISE = 1e2
 _NEAR_SYMMETRIC = 1e-4
 
 

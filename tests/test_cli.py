@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -418,6 +419,40 @@ def test_verify_accepts_the_largest_amplitude_at_every_phase(capsys, tmp_path):
     )
     assert code == 0
     assert out.startswith("PASS analytic sweep: 16 cells")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("--phases", "100000000"), "--phases"),
+        (("--amplitudes", "1,2", "--phases", "500001", "--kind", "homodyne"), "--amplitudes"),
+        (("--amplitudes", "1", "--phases", "31251"), "--amplitudes x --phases x specs"),
+    ],
+)
+def test_verify_rejects_a_grid_above_the_cap_before_building_it(capsys, tmp_path, argv, key):
+    # 4 x 10^8 alphas would take gigabytes; 31,251 alphas x the 32 default
+    # specs is 32 cells over the 10^6 cap, and is rejected before any is built.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", *argv, "--out", "bad")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err and "1000000" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_rejects_a_config_of_more_than_a_million_cells(capsys, tmp_path):
+    config = SweepConfig(
+        alphas=tuple(complex(k % 7, k // 7) for k in range(31_251)),
+        specs=tuple(DetectorSpec(kind, 0.7, 0.01 * k) for kind in KINDS for k in range(16)),
+    )
+    assert config.n_cells == 10**6 + 32
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.to_json_dict()))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path), "--out", "bad")
+    assert code == 2 and out == ""
+    assert err == "error: alphas x specs is 1000032 cells, more than 1000000\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 _VERIFY_BASE = {

@@ -394,7 +394,8 @@ def test_ks_cell_single_tail_call_equals_two_call_minimum(seed, r_used):
         b = sample_outcomes(
             rescaled_lossy_density(state, HETERODYNE, plan.eta_e, 1.0), n, seed, 1
         )
-        pairs = [(a.real, b.real), (a.imag, b.imag)]
+        assert a.shape == b.shape == (n, 2)
+        pairs = [(a[:, 0], b[:, 0]), (a[:, 1], b[:, 1])]
         per_component = [ks_2samp(xs, ys) for xs, ys in pairs]
         expected = (
             max(stat for stat, _ in per_component),
@@ -496,6 +497,50 @@ def test_monte_carlo_cell_errors_reach_the_caller(monkeypatch, workers):
         monte_carlo_sweep(reduced_mc_config(mc_samples=10**4))
     raised_here = str(info.value) == f"draw failed in {os.getpid()}"
     assert raised_here == (workers == 1)
+
+
+def _mc_reference_cell(config, index, alpha, spec):
+    """One Monte Carlo cell's two densities and two samples, from the public per-cell chain."""
+    plan = rescale_plan(spec)
+    r_used = {"none": plan.r, "skip-rescale": 1.0, "scale-r": plan.r * 1.01}[config.sabotage]
+    state = coherent_state(alpha)
+    noisy = noisy_measurement_density(state, spec)
+    lossy = rescaled_lossy_density(state, spec.kind, plan.eta_e, 1.0)
+    n, seed = config.mc_samples, config.seed
+    a = (1.0 / r_used) * sample_outcomes(noisy, n, seed, 2 * index)
+    b = sample_outcomes(lossy, n, seed, 2 * index + 1)
+    return (noisy, lossy), (a, b)
+
+
+@pytest.mark.parametrize("sabotage", SABOTAGE_MODES)
+def test_monte_carlo_cells_equal_their_per_cell_reference(monkeypatch, sabotage):
+    # Both kinds; three phases put -0.0 into some zero-amplitude means.
+    config = SweepConfig(
+        alphas=default_alpha_grid((0.0, 1e-9, 3.0, 1e6), 3),
+        specs=default_spec_grid((0.7,), (1e-2,)),
+        mc_samples=10**4,
+        seed=4,
+        sabotage=sabotage,
+    )
+    densities, samples = [], []
+    draw, ks_cell = equivalence.sample_outcomes, equivalence._ks_cell
+    monkeypatch.setattr(
+        equivalence, "sample_outcomes", lambda d, *args: densities.append(d) or draw(d, *args)
+    )
+    monkeypatch.setattr(
+        equivalence, "_ks_cell", lambda pairs: samples.append(pairs) or ks_cell(pairs)
+    )
+    _force_workers(monkeypatch, 1)
+    monte_carlo_sweep(config)
+    cells = [(alpha, spec) for spec in config.specs for alpha in config.alphas]
+    assert len(samples) == len(cells) == 24
+    for index, (alpha, spec) in enumerate(cells):
+        want_densities, want_samples = _mc_reference_cell(config, index, alpha, spec)
+        for got, want in zip(densities[2 * index : 2 * index + 2], want_densities):
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.variance.hex() == want.variance.hex()
+        for got, want in zip(zip(*samples[index]), want_samples):
+            assert np.column_stack(got).tobytes() == want.tobytes()
 
 
 def test_monte_carlo_workers_are_one_per_usable_cpu():

@@ -150,7 +150,13 @@ def _rate_by_decimal(t, xi, kind, v_mod):
         (1.0, 1e-14, 4.0, 1e-13),
         (1 - 1e-12, 4e-12, 4.0, 1e-13),
         (0.9999, 4e-4, 4.0, 1e-13),
-        # b above 1e8: huge noise, or a huge modulation variance
+        # b above 1e2: huge noise, or a large modulation variance (the
+        # first three were off by 2.8e-9, 2.2e-5 and 9.4e-4 bits while the
+        # textbook forms were kept up to b = 1e8)
+        (0.9, 0.01, 1e5, 1e-11),
+        (0.9, 0.01, 1e7, 1e-11),
+        (0.9, 0.01, 1e8, 1e-11),
+        (0.999, 1e-3, 99.0, 1e-11),
         (0.5, 1e20, 4.0, 0.0),
         (0.5, 1e300, 4.0, 0.0),
         (0.9, 0.01, 1e9, 1e-12),
