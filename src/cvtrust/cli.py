@@ -7,8 +7,9 @@ Subcommands:
     calibrate  infer the detector noise product from vacuum-probe data
 
 Exit codes: 0 on success or a passing sweep, 1 when a verification or
-calibration fails, 2 on usage or configuration errors, 141 (128 + SIGPIPE)
-when standard output is closed early (reports already written are kept).
+calibration fails, 2 on usage or configuration errors and on an output
+path that cannot be written, 141 (128 + SIGPIPE) when standard output is
+closed early (reports already written are kept).
 Report files are written atomically (temp file, then rename).  The
 default output directory is taken from CVTRUST_OUTPUT_DIR when set.
 """
@@ -60,15 +61,19 @@ MAX_GRID_POINTS = 10**6
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    """Write text to path by a temp file and a rename; an OSError is a ValueError."""
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _resolve_out(prefix: str) -> Path:
@@ -211,11 +216,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = monte_carlo_sweep(config)
     else:
         report = analytic_sweep(config)
-    payload = report.to_json_dict()
-    payload["config"]["mode"] = mode
+    json_report, csv_report = report.report_texts()
     out = _resolve_out(args.out)
-    _write_atomic(out.with_suffix(".json"), _json_text(payload))
-    _write_atomic(out.with_suffix(".csv"), report.to_csv_text())
+    _write_atomic(out.with_suffix(".json"), json_report)
+    _write_atomic(out.with_suffix(".csv"), csv_report)
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"{verdict} {mode} sweep: {len(report.cells)} cells, "

@@ -25,13 +25,12 @@ machinery's ability to catch a wrong reduction can be tested.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -45,7 +44,9 @@ from .detectors import (
     sample_outcomes,
 )
 from .gaussian import coherent_state
-from .jsontext import json_list, json_object, real_number
+from .jsontext import (
+    json_items, json_list, json_object, json_object_template, json_text, real_number,
+)
 from .rescaling import rescale_plan
 
 SABOTAGE_MODES = ("none", "skip-rescale", "scale-r")
@@ -200,6 +201,14 @@ class CellResult:
         }
 
 
+# One cell of EquivalenceReport.to_json_dict() as json_text puts it in the "cells" list.
+_JSON_CELL = json_object_template(
+    ("alpha_re", "alpha_im", "kind", "eta_d", "nbar", "mean_gap", "var_gap", "tv_estimate",
+     "ks_stat", "ks_pvalue", "pass"),
+    "\n    ",
+)
+
+
 @dataclass(frozen=True, eq=False)
 class EquivalenceReport:
     """Result of one sweep over the full grid."""
@@ -225,13 +234,14 @@ class EquivalenceReport:
     def n_rejections(self) -> int:
         return sum(not c.passed for c in self.cells)
 
-    def to_json_dict(self) -> dict:
+    def _json_head(self) -> dict:
+        """The report's JSON object without its "cells"."""
         stats = [c.ks_statistic for c in self.cells if c.ks_statistic is not None]
         pvals = [c.ks_pvalue for c in self.cells if c.ks_pvalue is not None]
         return {
             "schema": "cvtrust/verify-report/1",
             "mode": self.mode,
-            "config": self.config.to_json_dict(),
+            "config": {**self.config.to_json_dict(), "mode": self.mode},
             "summary": {
                 "cells": len(self.cells),
                 "passed": self.passed,
@@ -242,28 +252,65 @@ class EquivalenceReport:
                 "max_ks_stat": max(stats) if stats else None,
                 "min_ks_pvalue": min(pvals) if pvals else None,
             },
-            "cells": [c.to_json_dict() for c in self.cells],
         }
 
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+    def to_json_dict(self) -> dict:
+        return {**self._json_head(), "cells": [c.to_json_dict() for c in self.cells]}
+
+    def report_texts(self) -> tuple[str, str]:
+        """The JSON and CSV reports, written in one pass over the cells.
+
+        The JSON is json_text(self.to_json_dict()), the CSV what csv.writer
+        writes of CSV_COLUMNS.  Each float is formatted once by repr, as json
+        and csv both do, and shared by both texts: a spec's fields once per
+        spec and an amplitude's parts once per amplitude, keyed by the object
+        that a sweep's cells share, never by value (0.0 == -0.0).
+        """
+        specs: dict[int, tuple] = {}
+        alphas: dict[int, tuple] = {}
+        json_cells = []
+        csv_lines = [",".join(CSV_COLUMNS) + "\n"]
         for c in self.cells:
-            writer.writerow(
-                [
-                    repr(c.alpha.real),
-                    repr(c.alpha.imag),
-                    c.spec.kind,
-                    repr(c.spec.eta_d),
-                    repr(c.spec.nbar),
-                    repr(c.mean_gap),
-                    repr(c.var_gap),
-                    "" if c.ks_statistic is None else repr(c.ks_statistic),
-                    str(c.passed).lower(),
-                ]
+            s, a = c.spec, c.alpha
+            if id(s) not in specs:
+                eta_d, nbar = _finite_reprs(s.eta_d, s.nbar)
+                kind = encode_basestring_ascii(s.kind)
+                specs[id(s)] = (eta_d, kind, nbar, f"{s.kind},{eta_d},{nbar}")
+            if id(a) not in alphas:
+                alphas[id(a)] = _finite_reprs(a.real, a.imag)
+            eta_d, kind, nbar, spec_csv = specs[id(s)]
+            alpha_re, alpha_im = alphas[id(a)]
+            mean_gap, var_gap, tv = _finite_reprs(c.mean_gap, c.var_gap, c.tv_estimate)
+            if c.ks_statistic is None:
+                ks_stat, ks_stat_csv = "null", ""
+            else:
+                ks_stat = ks_stat_csv = _finite_reprs(c.ks_statistic)[0]
+            ks_pvalue = "null" if c.ks_pvalue is None else _finite_reprs(c.ks_pvalue)[0]
+            passed = "true" if c.passed else "false"
+            json_cells.append(
+                _JSON_CELL
+                % (alpha_im, alpha_re, eta_d, kind, ks_pvalue, ks_stat, mean_gap, nbar,
+                   passed, tv, var_gap)
             )
-        return buf.getvalue()
+            csv_lines.append(
+                f"{alpha_re},{alpha_im},{spec_csv},{mean_gap},{var_gap},{ks_stat_csv},{passed}\n"
+            )
+        # "cells" sorts first among the report's keys.
+        json_report = (
+            '{\n  "cells": ' + json_items(json_cells, "\n  ") + ","
+            + json_text(self._json_head())[1:]
+        )
+        return json_report, "".join(csv_lines)
+
+    def to_csv_text(self) -> str:
+        return self.report_texts()[1]
+
+
+def _finite_reprs(*xs: float) -> tuple[str, ...]:
+    """The repr of each x, its JSON and CSV text; NaN or infinity raises json_text's ValueError."""
+    if not all(map(math.isfinite, xs)):
+        raise ValueError(f"Out of range float values are not JSON compliant: {xs!r}")
+    return tuple(map(repr, xs))
 
 
 def default_alpha_grid(

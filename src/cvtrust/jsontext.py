@@ -36,6 +36,24 @@ def json_text(obj) -> str:
     return json_value(obj) + "\n"
 
 
+def json_object_template(keys, indent: str) -> str:
+    """A %-template of a flat JSON object with these keys, as json_value writes
+    it at the depth whose lines start with indent: one %s per value, in
+    sorted key order, to be filled with each value's JSON text.
+    """
+    inner = indent + "  "
+    slots = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in sorted(keys))
+    return "{" + inner + ("," + inner).join(slots) + indent + "}"
+
+
+def json_items(texts: list[str], indent: str) -> str:
+    """The JSON list of these item texts, as json_value writes it at indent."""
+    if not texts:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+
+
 def real_number(name: str, value):
     """Return value if it is a real number; a bool (JSON true or false) is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

@@ -25,7 +25,9 @@ import numpy as np
 
 from .channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params
 from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec
-from .jsontext import json_list, json_object, json_value, real_number
+from .jsontext import (
+    json_items, json_list, json_object, json_object_template, json_value, real_number,
+)
 from .rescaling import harmonize
 
 PROTOCOLS = ("heterodyne", "hybrid")
@@ -259,7 +261,14 @@ class ScanConfig:
         return HETERODYNE if self.protocol == "heterodyne" else HOMODYNE
 
     def to_json_dict(self) -> dict:
-        return {"schema": "cvtrust/scan-config/1", **asdict(self)}
+        # asdict(self) would deep-copy every loss value; only the nested
+        # dataclasses need it.
+        return {
+            "schema": "cvtrust/scan-config/1",
+            **{f.name: getattr(self, f.name) for f in fields(self)},
+            "detectors": tuple(asdict(d) for d in self.detectors),
+            "rate_params": asdict(self.rate_params),
+        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScanConfig":
@@ -298,10 +307,7 @@ class ScanRow:
 
 
 # One row of ScanTable.to_json_dict() as json_text puts it in the "rows" list.
-_JSON_ROW = (
-    '{\n      "loss_db": %s,\n      "rate": %s,\n      "scenario": %s,\n'
-    '      "status": %s,\n      "t_eff": %s,\n      "xi_eff": %s\n    }'
-)
+_JSON_ROW = json_object_template([f.name for f in fields(ScanRow)], "\n    ")
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,11 +364,11 @@ class ScanTable:
                 csv_out.write(f"{loss},{r.scenario},{t_eff},{xi_eff},{rate},ok\n")
             else:
                 csv_writer.writerow([loss, r.scenario, t_eff, xi_eff, rate, r.status])
-        rows = "[\n    " + ",\n    ".join(json_rows) + "\n  ]" if json_rows else "[]"
         json_report = (
             '{\n  "config": ' + json_value(self.config.to_json_dict(), "\n  ")
             + ',\n  "metadata": ' + json_value(self._metadata(), "\n  ")
-            + ',\n  "rows": ' + rows + ',\n  "schema": "cvtrust/scan-report/1"\n}\n'
+            + ',\n  "rows": ' + json_items(json_rows, "\n  ")
+            + ',\n  "schema": "cvtrust/scan-report/1"\n}\n'
         )
         return json_report, csv_out.getvalue()
 

@@ -764,6 +764,39 @@ def test_no_temp_files_left_behind(capsys, tmp_path):
     assert leftovers == []
 
 
+_WRITING_COMMANDS = [
+    ("verify", "--eta-d", "0.7", "--nu", "1e-3", "--amplitudes", "1", "--phases", "1"),
+    ("scan", "--eta-d", "0.7", "--nu", "1e-2", "--loss-db", "0:2:1"),
+    ("calibrate", "--kind", "homodyne", "--vacuum-variance", "0.25025"),
+]
+
+
+@pytest.mark.parametrize("below", ["x", "a/x"])
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS, ids=lambda argv: argv[0])
+def test_an_output_path_under_a_regular_file_exits_2(capsys, tmp_path, argv, below):
+    blocker = tmp_path / "somefile"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, *argv, "--out", str(blocker / below))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {blocker / below}") and err.count("\n") == 1
+    assert list(tmp_path.rglob("*")) == [blocker]
+
+
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS, ids=lambda argv: argv[0])
+def test_an_output_file_that_is_a_directory_exits_2_leaving_no_temp_file(
+    capsys, tmp_path, argv
+):
+    suffix = ".json" if argv[0] != "calibrate" else ""
+    target = tmp_path / f"taken{suffix}"
+    target.mkdir()
+    code, out, err = run_cli(capsys, *argv, "--out", "taken")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+    assert list(tmp_path.rglob("*")) == [target]
+
+
 _SCIPY_PROBE = """
 import json, sys
 import cvtrust

@@ -1,6 +1,9 @@
+import csv
+import io
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,6 +219,67 @@ def test_report_json_summary():
     assert data["summary"]["max_ks_stat"] is None
     assert len(data["cells"]) == 16
     assert data["cells"][0]["pass"] is True
+
+
+def _csv_writer_text(report):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for c in report.cells:
+        writer.writerow(
+            [
+                repr(c.alpha.real),
+                repr(c.alpha.imag),
+                c.spec.kind,
+                repr(c.spec.eta_d),
+                repr(c.spec.nbar),
+                repr(c.mean_gap),
+                repr(c.var_gap),
+                "" if c.ks_statistic is None else repr(c.ks_statistic),
+                str(c.passed).lower(),
+            ]
+        )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "sweep, config",
+    [
+        (analytic_sweep, default_sweep_config()),
+        (analytic_sweep, default_sweep_config(sabotage="skip-rescale")),
+        (monte_carlo_sweep, reduced_mc_config(seed=4, mc_samples=10**4)),
+        (monte_carlo_sweep, reduced_mc_config(seed=4, mc_samples=10**4, sabotage="skip-rescale")),
+    ],
+    ids=["analytic", "analytic-skip-rescale", "mc-1e4", "mc-1e4-skip-rescale"],
+)
+def test_one_pass_reports_equal_the_json_writer_and_csv_writer_forms(sweep, config):
+    report = sweep(config)
+    json_report, csv_report = report.report_texts()
+    assert json_report == json_text(report.to_json_dict())
+    assert csv_report == report.to_csv_text() == _csv_writer_text(report)
+    assert report.to_json_dict()["config"]["mode"] == report.mode
+    if report.mode == "analytic":
+        # The default grid has both signs of zero among its alpha parts.
+        parts = [x for a in config.alphas for x in (a.real, a.imag)]
+        assert {math.copysign(1.0, x) for x in parts if x == 0.0} == {1.0, -1.0}
+        assert all(c.ks_statistic is None for c in report.cells)
+    else:
+        assert all(c.ks_statistic is not None for c in report.cells)
+    assert report.passed == (config.sabotage == "none")
+
+
+@pytest.mark.parametrize(
+    "field", ["mean_gap", "var_gap", "tv_estimate", "ks_statistic", "ks_pvalue"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_one_pass_reports_refuse_non_finite_values_as_json_text_does(field, value):
+    report = analytic_sweep(small_config())
+    cells = (replace(report.cells[0], **{field: value}), *report.cells[1:])
+    report = replace(report, cells=cells)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json_text(report.to_json_dict())
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report.report_texts()
 
 
 def _gaussian(mean, var):
