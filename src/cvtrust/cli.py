@@ -68,6 +68,9 @@ def _write_atomic(path: Path, text: str) -> None:
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fh.fileno(), 0o666 & ~umask)  # as open() would, not mkstemp's 0o600
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

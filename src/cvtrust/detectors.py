@@ -238,8 +238,7 @@ def sample_outcomes(
     if n < 1:
         raise ValueError("sample count must be at least 1")
     rng = np.random.default_rng((int(seed), int(stream)))
-    # z is named so that it is freed on return, not scaled in place: that early
-    # free lifts glibc's mmap threshold, and a Monte Carlo cell's KS arrays then
-    # reuse the heap (scaled in place, a cell peaked 22 more bytes per draw).
     z = rng.standard_normal((n, density.ndim))
-    return math.sqrt(density.variance) * z + density.mean
+    z *= math.sqrt(density.variance)
+    z += density.mean
+    return z

@@ -52,10 +52,11 @@ from .rescaling import rescale_plan
 SABOTAGE_MODES = ("none", "skip-rescale", "scale-r")
 
 # Largest mc_samples a sweep accepts.  A heterodyne Monte Carlo cell peaks at
-# about 162 bytes per draw (ru_maxrss from 10^6 to 2x10^6 draws: the samples,
-# the KS step's sorted, merged and ranked arrays; 160 with glibc's mmap
-# threshold fixed), 1.6 GB at the cap.  A sweep has one cell in flight per
-# worker process, so on two CPUs a sweep at the cap peaks at about 3.2 GB.
+# about 76 bytes per draw (ru_maxrss growth of a forked child running one cell
+# at 10^6 and 2x10^6 draws; 72 live: the samples, then the KS step's merge
+# buffer and argsort or its rank counts and walk), 0.76 GB at the cap.  A sweep
+# has one cell in flight per worker process, so on two CPUs a sweep at the cap
+# peaks at about 1.5 GB.  _merge_rank_statistic's exactness relies on the cap.
 MAX_MC_SAMPLES = 10**7
 
 # Largest |Re alpha| or |Im alpha| a sweep accepts.  The two models round
@@ -492,16 +493,39 @@ def _merge_rank_statistic(xs: np.ndarray, ys: np.ndarray) -> float:
     """Two-sided two-sample KS statistic, read off the merge ranks.
 
     Each empirical CDF is counted to the end of every group of equal
-    values, which gives ks_2samp's statistic bit for bit.
+    values, which gives ks_2samp's statistic bit for bit.  Both samples
+    are sorted in the halves of one buffer, and the extremes are found on
+    the integer walk w = (n2/g) below_x - (n1/g) (pos - below_x), g =
+    gcd(n1, n2), over the group ends pos (computed as (n/g) below_x -
+    (n1/g) pos, n = n1 + n2): ks_2samp's difference
+    below_x / n1 - (pos - below_x) / n2 is exactly g w / (n1 n2).  So
+    distinct walk levels are at least 1 / (n1 n2) >= 1e-14 apart, as
+    MAX_MC_SAMPLES is 10^7, while rounding moves the float difference by
+    under 1e-15: its float max and min are reached only where the walk
+    has its max and min, and the float difference is evaluated there.
     """
     n1, n2 = len(xs), len(ys)
-    merged = np.concatenate([np.sort(xs), np.sort(ys)])
-    order = np.argsort(merged, kind="stable")
-    values = merged[order]
-    ends = np.append(np.flatnonzero(values[1:] != values[:-1]), values.size - 1)
-    below_x = np.cumsum(order < n1)[ends]
-    diffs = below_x / n1 - (ends + 1 - below_x) / n2
-    return max(float(diffs.max()), float(-diffs.min()))
+    n = n1 + n2
+    values = np.empty(n)
+    values[:n1], values[n1:] = xs, ys
+    values[:n1].sort()
+    values[n1:].sort()
+    from_x = np.argsort(values, kind="stable") < n1
+    below_x = np.cumsum(from_x, dtype=np.int32 if n < 2**31 else np.int64)
+    values.sort(kind="stable")
+    ties = values[1:] == values[:-1]
+    ends = np.append(np.flatnonzero(~ties), n - 1) if ties.any() else None
+    del from_x, values, ties
+    g = math.gcd(n1, n2)
+    walk = np.multiply(below_x, n // g, dtype=np.int64)
+    walk -= np.arange(n1 // g, (n + 1) * (n1 // g), n1 // g)  # pos = 1, ..., n
+    if ends is not None:
+        walk = walk[ends]
+    top, bottom = (np.flatnonzero(walk == level) for level in (walk.max(), walk.min()))
+    if ends is not None:
+        top, bottom = ends[top], ends[bottom]
+    diffs = [below_x[at] / n1 - (at + 1 - below_x[at]) / n2 for at in (top, bottom)]
+    return max(float(diffs[0].max()), float(-diffs[1].min()))
 
 
 def _asymptotic_pvalue(d: float, n1: int, n2: int) -> float:
@@ -624,7 +648,8 @@ def _mc_cell(config: SweepConfig, indexed_cell: tuple) -> CellResult:
     xy = np.array([alpha.real, alpha.imag])[: noisy.ndim]
     noisy = OutcomeDensity(noisy.mean[0] * xy, noisy.variance)
     lossy = OutcomeDensity(lossy.mean[0] * xy, lossy.variance)
-    a = (1.0 / r_used) * sample_outcomes(noisy, config.mc_samples, config.seed, 2 * index)
+    a = sample_outcomes(noisy, config.mc_samples, config.seed, 2 * index)
+    a *= 1.0 / r_used
     b = sample_outcomes(lossy, config.mc_samples, config.seed, 2 * index + 1)
     # One column view per component: a.mean(axis=0) would sum in another
     # order and move the last bits of the gaps.

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1058,3 +1059,19 @@ def test_every_argv_ends_in_a_report_a_failed_verdict_or_one_error_line(cases, d
     else:
         assert err.getvalue().startswith("calibration failed: ") and written == {}
 
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, "-rw-r--r--"), (0o077, "-rw-------")], ids=["022", "077"]
+)
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS, ids=lambda argv: argv[0])
+def test_report_files_get_the_mode_the_umask_allows(capsys, tmp_path, argv, umask, mode):
+    previous = os.umask(umask)
+    try:
+        code, _, _ = run_cli(capsys, *argv, "--out", "report")
+    finally:
+        os.umask(previous)
+    assert code == 0
+    written = sorted(tmp_path.iterdir())
+    assert len(written) == (1 if argv[0] == "calibrate" else 2)
+    for path in written:
+        assert stat.filemode(path.stat().st_mode) == mode, path.name

@@ -2,8 +2,11 @@ import csv
 import io
 import math
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,6 +455,42 @@ def test_merge_rank_ks_keeps_exact_pvalues_up_to_1e4():
         _ks_cell([(rng.standard_normal(10_000), rng.standard_normal(9_000))])
 
 
+def _ks_edge_pairs():
+    rng = np.random.default_rng(13)
+    xs, big = rng.standard_normal(50), rng.standard_normal(60_001)
+    exact = {
+        "all-equal": (np.full(50, 0.25), np.full(50, 0.25)),
+        "reversed-copy": (xs, xs[::-1]),
+        "disjoint": (xs, xs + 100.0),
+        "one-draw-each": (np.array([0.5]), np.array([-0.5])),
+        "one-equal-draw-each": (np.array([0.5]), np.array([0.5])),
+    }
+    # coprime unequal sizes above the exact regime, whose rank walk
+    # (n1 + n2) below_x outgrows int32
+    asymptotic = {
+        "all-equal": (np.full(60_000, -1.0), np.full(50_003, -1.0)),
+        "reversed-copy": (big, big[::-1]),
+        "disjoint": (big[:50_003] - 100.0, big[:60_000]),
+        "ties-across": (np.round(big[:60_000]), np.round(big[:50_003] * 1.1 + 0.1)),
+    }
+    return [
+        pytest.param(*pair, id=f"{route}-{name}")
+        for route, pairs in (("exact", exact), ("asymptotic", asymptotic))
+        for name, pair in pairs.items()
+    ]
+
+
+@pytest.mark.parametrize("xs, ys", _ks_edge_pairs())
+def test_merge_rank_ks_matches_ks_2samp_on_edge_cases(xs, ys):
+    # all values equal and a reversed copy (D = 0), disjoint supports (D = 1),
+    # one draw per sample, and ties across coprime unequal sizes
+    for a, b in ((xs, ys), (ys, xs)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = ks_2samp(a, b)
+        assert _ks_cell([(a, b)]) == (expected.statistic, expected.pvalue)
+
+
 def test_exact_pvalue_equals_the_untruncated_series():
     def untruncated(n, h):
         # scipy's _compute_prob_outside_square: every k from n // h down to 0
@@ -655,6 +694,52 @@ def test_monte_carlo_cells_equal_their_per_cell_reference(monkeypatch, sabotage)
             assert got.variance.hex() == want.variance.hex()
         for got, want in zip(zip(*samples[index]), want_samples):
             assert np.column_stack(got).tobytes() == want.tobytes()
+
+
+_CELL_PEAK_PROBE = """
+import multiprocessing, resource, sys
+import scipy.stats  # loaded before the fork, as monte_carlo_sweep does
+from cvtrust import equivalence
+from cvtrust.detectors import HETERODYNE, DetectorSpec
+
+def run(config, cell, queue):
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    equivalence._mc_cell(config, cell)
+    queue.put(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start)
+
+n = int(sys.argv[1])
+spec = DetectorSpec.from_noise_product(HETERODYNE, 0.7, nu=1e-2)
+config = equivalence.SweepConfig(alphas=(3.0,), specs=(spec,), mc_samples=n)
+cell = (0, (config.alphas[0], *next(equivalence._specs(config))))
+context = multiprocessing.get_context("fork")
+queue = context.Queue()
+child = context.Process(target=run, args=(config, cell, queue))
+child.start()
+print(queue.get(timeout=300))
+child.join(timeout=60)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs fork and ru_maxrss in KiB")
+def test_a_heterodyne_cell_peaks_within_110_bytes_per_draw():
+    # The bound's basis: a cell's live data peak at 72 bytes per draw, the two
+    # (n, 2) samples (32) and, per component, the KS step's merge buffer and
+    # argsort or its rank counts and integer walk (40); this growth measured
+    # 82 bytes per draw, and 170 when the KS step held sorted copies, the
+    # merge, the argsort and the gathered values at once.  The cell runs in a
+    # child forked from a fresh interpreter, as a sweep's workers are: forked
+    # from the test process, it would reuse heap that earlier tests freed
+    # (that read 76 bytes per draw for the 170-byte KS step).
+    n = 4 * 10**5
+    package_root = str(Path(equivalence.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CELL_PEAK_PROBE, str(n)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) * 1024 / n <= 110
 
 
 def test_monte_carlo_workers_are_one_per_usable_cpu():
