@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import DetectorSpec
-from .gaussian import GaussianState, loss_channel, random_displacement
 from .rescaling import rescale_plan
 
 IDEAL = "ideal"
@@ -55,16 +54,6 @@ class ChannelSpec:
             raise ValueError("xi0 must be a finite non-negative number")
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "xi0", xi0)
-
-
-def transmit(state: GaussianState, channel: ChannelSpec) -> GaussianState:
-    """Send a state through the channel.
-
-    Pure loss of transmittance eta acts first, then the random
-    displacement with output-referred variance parameter eta * xi0.
-    """
-    lossy = loss_channel(state, channel.eta)
-    return random_displacement(lossy, channel.eta * channel.xi0)
 
 
 def scenario_params(

@@ -122,25 +122,6 @@ class OutcomeDensity:
     def ndim(self) -> int:
         return self.mean.size
 
-    def pdf(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the density.
-
-        Args:
-            points: Shape (m,) for a real outcome.  For a complex outcome
-                either a complex array of shape (m,) or a real array of
-                shape (m, 2).
-
-        Returns:
-            Density values, shape (m,).
-        """
-        pts = np.asarray(points)
-        if np.iscomplexobj(pts):
-            pts = np.column_stack([pts.real, pts.imag])
-        d = np.asarray(pts, dtype=float).reshape(-1, self.ndim) - self.mean
-        z = np.sum(d * d, axis=1) / self.variance
-        norm = (2.0 * math.pi * self.variance) ** (self.ndim / 2.0)
-        return np.exp(-0.5 * z) / norm
-
     def scaled(self, factor: float) -> "OutcomeDensity":
         """Pushforward under outcome -> factor * outcome.
 
@@ -154,30 +135,19 @@ class OutcomeDensity:
         return OutcomeDensity(factor * self.mean, (factor * factor) * self.variance)
 
 
-def ideal_homodyne_density(state: GaussianState) -> OutcomeDensity:
-    """Outcome density of ideal x-quadrature homodyne detection.
+def ideal_density(state: GaussianState, kind: str) -> OutcomeDensity:
+    """Outcome density of an ideal measurement of the given kind.
 
-    For a Gaussian state this is the normal density with the state's
-    x mean and x variance.
-    """
-    return OutcomeDensity(state.mean[:1], state.variance)
-
-
-def ideal_heterodyne_density(state: GaussianState) -> OutcomeDensity:
-    """Outcome density of ideal heterodyne (double homodyne) detection.
-
-    The complex outcome has the state's quadrature means and variance
-    variance + 1/4 per component; one vacuum unit enters through the
+    Homodyne detection of the x quadrature gives the normal density with
+    the state's x mean and x variance.  Heterodyne (double homodyne)
+    detection gives a complex outcome with the state's quadrature means
+    and variance + 1/4 per component; one vacuum unit enters through the
     simultaneous measurement of both quadratures.
     """
-    return OutcomeDensity(state.mean, state.variance + VACUUM_VARIANCE)
-
-
-def _ideal_density(state: GaussianState, kind: str) -> OutcomeDensity:
     if kind == HOMODYNE:
-        return ideal_homodyne_density(state)
+        return OutcomeDensity(state.mean[:1], state.variance)
     if kind == HETERODYNE:
-        return ideal_heterodyne_density(state)
+        return OutcomeDensity(state.mean, state.variance + VACUUM_VARIANCE)
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
@@ -190,7 +160,7 @@ def noisy_measurement_density(state: GaussianState, spec: DetectorSpec) -> Outco
     performed on what remains.
     """
     mixed = thermal_loss_channel(state, spec.eta_d, spec.nbar)
-    return _ideal_density(mixed, spec.kind)
+    return ideal_density(mixed, spec.kind)
 
 
 def rescaled_lossy_density(
@@ -213,7 +183,7 @@ def rescaled_lossy_density(
     if not math.isfinite(r) or r < 1.0:
         raise ValueError("rescale factor must satisfy r >= 1")
     lossy = loss_channel(state, eta_e)
-    return _ideal_density(lossy, kind).scaled(r)
+    return ideal_density(lossy, kind).scaled(r)
 
 
 def sample_outcomes(

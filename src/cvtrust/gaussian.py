@@ -6,10 +6,10 @@ Quadratures are x = (a + a^dag)/2 and p = -i(a - a^dag)/2, so the vacuum
 state has variance 1/4 in each quadrature and a coherent state |alpha>
 has mean (Re alpha, Im alpha).  Mean vectors are ordered (x, p).
 
-Every state here is phase-insensitive: coherent probes, thermal states
-and the loss, thermal-loss and isotropic displacement maps that act on
-them all keep the covariance a multiple of the identity, v I.  A state is
-therefore held as its mean and the one quadrature variance v.
+Every state here is phase-insensitive: coherent probes and the loss and
+thermal-loss maps that act on them keep the covariance a multiple of the
+identity, v I.  A state is therefore held as its mean and the one
+quadrature variance v.
 
 All operations return new states; states themselves are immutable.
 """
@@ -48,20 +48,6 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variance", variance)
 
-    @property
-    def cov(self) -> np.ndarray:
-        """The 2 x 2 covariance matrix, variance * I."""
-        return self.variance * np.eye(2)
-
-    def is_physical(self, tol: float = 1e-12) -> bool:
-        """Check the uncertainty relation variance >= 1/4 up to tol."""
-        return self.variance >= VACUUM_VARIANCE - tol
-
-
-def vacuum_state() -> GaussianState:
-    """Return the vacuum: zero mean, variance 1/4."""
-    return GaussianState(np.zeros(2), VACUUM_VARIANCE)
-
 
 def coherent_state(alpha: complex) -> GaussianState:
     """Return the coherent state with amplitude alpha.
@@ -70,17 +56,6 @@ def coherent_state(alpha: complex) -> GaussianState:
     """
     alpha = complex(alpha)
     return GaussianState((alpha.real, alpha.imag), VACUUM_VARIANCE)
-
-
-def thermal_state(nbar: float) -> GaussianState:
-    """Return the thermal state with mean photon number nbar.
-
-    Its variance is (2 nbar + 1)/4; nbar = 0 reproduces the vacuum.
-    """
-    nbar = float(nbar)
-    if not math.isfinite(nbar) or nbar < 0:
-        raise ValueError("nbar must be a finite non-negative number")
-    return GaussianState(np.zeros(2), (2.0 * nbar + 1.0) * VACUUM_VARIANCE)
 
 
 def thermal_loss_channel(state: GaussianState, eta: float, nbar: float) -> GaussianState:
@@ -114,20 +89,3 @@ def loss_channel(state: GaussianState, eta: float) -> GaussianState:
     variance -> eta variance + (1 - eta)/4.
     """
     return thermal_loss_channel(state, eta, 0.0)
-
-
-def random_displacement(state: GaussianState, v: float) -> GaussianState:
-    """Apply an isotropic Gaussian random displacement.
-
-    The displacement is drawn from a centered symmetric Gaussian that adds
-    v/4 to each quadrature variance, leaving the mean unchanged; v = 0 is
-    the identity.
-
-    Args:
-        state: Input state.
-        v: Added variance in units of 4x quadrature variance, v >= 0.
-    """
-    v = float(v)
-    if not math.isfinite(v) or v < 0:
-        raise ValueError("displacement variance v must be finite and non-negative")
-    return GaussianState(state.mean, state.variance + v * VACUUM_VARIANCE)

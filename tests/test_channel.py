@@ -10,10 +10,8 @@ from cvtrust.channel import (
     UNTRUSTED,
     ChannelSpec,
     scenario_params,
-    transmit,
 )
 from cvtrust.detectors import HETERODYNE, HOMODYNE, DetectorSpec
-from cvtrust.gaussian import coherent_state, thermal_state
 from cvtrust.rescaling import rescale_plan
 
 
@@ -33,24 +31,6 @@ def test_channel_spec_validation():
     for bad in ([0.5, 0.0], [0.5, 1.5], [0.5, float("nan")]):
         with pytest.raises(ValueError):
             ChannelSpec(np.array(bad))
-
-
-def test_transmit_coherent_state_moments():
-    out = transmit(coherent_state(1.5 - 0.5j), ChannelSpec(0.8, 1e-3))
-    assert np.allclose(out.mean, np.sqrt(0.8) * np.array([1.5, -0.5]), rtol=1e-15)
-    assert np.allclose(out.cov, 0.2502 * np.eye(2), rtol=1e-14)
-
-
-def test_transmit_lossless_noiseless_is_identity():
-    state = coherent_state(2j)
-    out = transmit(state, ChannelSpec(1.0, 0.0))
-    assert np.array_equal(out.mean, state.mean)
-    assert np.array_equal(out.cov, state.cov)
-
-
-def test_transmit_keeps_states_physical():
-    out = transmit(thermal_state(2.0), ChannelSpec(0.3, 0.05))
-    assert out.is_physical()
 
 
 def test_scenario_params_ideal():

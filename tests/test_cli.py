@@ -371,6 +371,8 @@ def test_scan_writes_a_failed_point_as_null(capsys, tmp_path):
         # analytic mode an uncapped count would not allocate either.
         ("verify", "--mc-samples", "10000000000", "--amplitudes", "1", "--phases", "1"),
         ("verify", "--mc-samples", "10000001", "--amplitudes", "1", "--phases", "1"),
+        # Too large for a float: the cap is compared as an integer.
+        ("verify", "--mode", "mc", "--mc-samples", "1" + "0" * 400, "--amplitudes", "1"),
     ],
 )
 def test_inputs_that_would_reach_a_report_as_nan_or_infinity_exit_2(capsys, tmp_path, argv):

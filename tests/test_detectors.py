@@ -8,18 +8,15 @@ from cvtrust.detectors import (
     HOMODYNE,
     DetectorSpec,
     OutcomeDensity,
-    ideal_heterodyne_density,
-    ideal_homodyne_density,
+    ideal_density,
     noisy_measurement_density,
     rescaled_lossy_density,
     sample_outcomes,
 )
-from cvtrust.gaussian import (
-    coherent_state,
-    loss_channel,
-    thermal_state,
-    vacuum_state,
-)
+from cvtrust.gaussian import VACUUM_VARIANCE, GaussianState, coherent_state, loss_channel
+from oracles import gaussian_pdf
+
+VACUUM = GaussianState(np.zeros(2), VACUUM_VARIANCE)
 
 
 def test_spec_validation():
@@ -62,26 +59,26 @@ def test_from_noise_product_argument_rules():
 
 
 def test_ideal_homodyne_density_vacuum():
-    density = ideal_homodyne_density(vacuum_state())
+    density = ideal_density(VACUUM, HOMODYNE)
     assert density.ndim == 1
     assert np.array_equal(density.mean, [0.0])
     assert density.variance == 0.25
     # peak value of N(0, 1/4)
-    assert np.isclose(density.pdf(np.array([0.0]))[0], 0.7978845608028654, rtol=1e-15)
+    assert np.isclose(gaussian_pdf(density, np.array([0.0]))[0], 0.7978845608028654, rtol=1e-15)
 
 
 def test_ideal_heterodyne_density_adds_vacuum_unit():
-    density = ideal_heterodyne_density(coherent_state(1 - 1j))
+    density = ideal_density(coherent_state(1 - 1j), HETERODYNE)
     assert density.ndim == 2
     assert np.array_equal(density.mean, [1.0, -1.0])
     assert density.variance == 0.5
-    assert np.isclose(density.pdf(np.array([1.0 - 1.0j]))[0], 1 / np.pi, rtol=1e-15)
+    assert np.isclose(gaussian_pdf(density, np.array([1.0 - 1.0j]))[0], 1 / np.pi, rtol=1e-15)
 
 
 def test_heterodyne_marginal_is_homodyne_variance_plus_quarter():
-    state = thermal_state(1.3)
-    het = ideal_heterodyne_density(state)
-    hom = ideal_homodyne_density(state)
+    state = GaussianState(np.zeros(2), (2 * 1.3 + 1) / 4)
+    het = ideal_density(state, HETERODYNE)
+    hom = ideal_density(state, HOMODYNE)
     assert np.isclose(het.variance, hom.variance + 0.25, rtol=1e-15)
 
 
@@ -105,19 +102,26 @@ def test_noiseless_detector_reduces_to_ideal_after_loss():
     state = coherent_state(0.3 + 2j)
     spec = DetectorSpec(HETERODYNE, 0.55)
     via_spec = noisy_measurement_density(state, spec)
-    via_loss = ideal_heterodyne_density(loss_channel(state, 0.55))
+    via_loss = ideal_density(loss_channel(state, 0.55), HETERODYNE)
     assert np.array_equal(via_spec.mean, via_loss.mean)
     assert via_spec.variance == via_loss.variance
 
 
+def test_ideal_density_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="kind"):
+        ideal_density(VACUUM, "double-homodyne")
+
+
 def test_scaled_is_a_pushforward():
-    density = ideal_homodyne_density(coherent_state(1.0))
+    density = ideal_density(coherent_state(1.0), HOMODYNE)
     scaled = density.scaled(1.1)
     assert np.isclose(scaled.mean[0], 1.1, rtol=1e-15)
     assert np.isclose(scaled.variance, 0.25 * 1.1**2, rtol=1e-15)
     # densities agree after the change of variables
     points = np.linspace(-3, 3, 7)
-    assert np.allclose(scaled.pdf(1.1 * points) * 1.1, density.pdf(points), rtol=1e-13)
+    assert np.allclose(
+        gaussian_pdf(scaled, 1.1 * points) * 1.1, gaussian_pdf(density, points), rtol=1e-13
+    )
 
 
 def test_rescaled_lossy_matches_physical_noisy_homodyne():
@@ -146,7 +150,7 @@ def test_rescaled_lossy_matches_physical_noisy_heterodyne():
 
 def test_rescaled_lossy_rejects_contraction():
     with pytest.raises(ValueError):
-        rescaled_lossy_density(vacuum_state(), HOMODYNE, 0.9, 0.99)
+        rescaled_lossy_density(VACUUM, HOMODYNE, 0.9, 0.99)
 
 
 def test_density_validation():
@@ -167,10 +171,10 @@ def test_density_validation():
 
 def test_pdf_normalization_1d():
     spec = DetectorSpec(HOMODYNE, 0.8, nbar=2.0)
-    density = noisy_measurement_density(thermal_state(0.5), spec)
+    density = noisy_measurement_density(GaussianState(np.zeros(2), (2 * 0.5 + 1) / 4), spec)
     sigma = np.sqrt(density.variance)
     grid = np.linspace(-10 * sigma, 10 * sigma, 20001)
-    total = np.trapezoid(density.pdf(grid), grid)
+    total = np.trapezoid(gaussian_pdf(density, grid), grid)
     assert abs(total - 1.0) < 1e-10
 
 
@@ -182,7 +186,7 @@ def test_pdf_normalization_2d():
     dx = axis[1] - axis[0]
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([xs.ravel() + density.mean[0], ys.ravel() + density.mean[1]])
-    total = np.sum(density.pdf(pts)) * dx * dx
+    total = np.sum(gaussian_pdf(density, pts)) * dx * dx
     assert abs(total - 1.0) < 1e-10
 
 
@@ -204,7 +208,7 @@ def test_noisy_density_moments_property(eta_d, nbar, re, im):
 
 
 def test_sample_outcomes_deterministic_per_stream():
-    density = ideal_homodyne_density(coherent_state(1.0))
+    density = ideal_density(coherent_state(1.0), HOMODYNE)
     a = sample_outcomes(density, 16, seed=7, stream=3)
     b = sample_outcomes(density, 16, seed=7, stream=3)
     c = sample_outcomes(density, 16, seed=7, stream=4)
@@ -227,7 +231,7 @@ def test_sample_outcomes_heterodyne_equals_cholesky_draws(seed, n):
 
 
 def test_sample_outcomes_heterodyne_is_two_real_columns():
-    density = ideal_heterodyne_density(coherent_state(2 - 1j))
+    density = ideal_density(coherent_state(2 - 1j), HETERODYNE)
     samples = sample_outcomes(density, 200_000, seed=11)
     assert samples.dtype == np.float64 and samples.shape == (200_000, 2)
     assert abs(samples[:, 0].mean() - 2.0) < 0.01

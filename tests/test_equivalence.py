@@ -1,9 +1,13 @@
+import ast
+import contextlib
 import csv
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +17,7 @@ import pytest
 from scipy.stats import ks_2samp, ncx2
 
 from cvtrust import equivalence
-from cvtrust.channel import ChannelSpec, transmit
+from cvtrust.channel import ChannelSpec, scenario_params
 from cvtrust.detectors import (
     HETERODYNE,
     HOMODYNE,
@@ -37,15 +41,18 @@ from cvtrust.equivalence import (
     _ks_cell,
     _tv_distance,
     analytic_sweep,
-    mixture_quadrature_oracle,
-    channel_moment_oracle,
     default_alpha_grid,
     default_spec_grid,
     default_sweep_config,
-    gaussian_weight_nodes,
     holm_rejections,
     monte_carlo_sweep,
     reduced_mc_config,
+)
+from oracles import (
+    channel_moment_oracle,
+    gaussian_pdf,
+    gaussian_weight_nodes,
+    mixture_quadrature_oracle,
 )
 
 
@@ -747,10 +754,86 @@ def test_monte_carlo_workers_are_one_per_usable_cpu():
     assert 1 <= equivalence._mc_workers(10**6) <= (os.cpu_count() or 1)
 
 
+_SLEEPING_SWEEP = """
+import os, sys, time
+from cvtrust import equivalence
+
+def record_and_sleep(density, n, seed, stream=0):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(120)
+
+equivalence.sample_outcomes = record_and_sleep
+equivalence._mc_workers = lambda n_cells: 2
+equivalence.monte_carlo_sweep(equivalence.reduced_mc_config(mc_samples=10**4))
+"""
+
+
+def _ended(pid: int) -> bool:
+    """Whether pid is gone or a zombie; where PID 1 reaps no orphans, dead workers stay zombies."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers die with their parent on Linux")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_monte_carlo_workers_end_with_a_killed_sweep(tmp_path, signum):
+    package_root = str(Path(equivalence.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    pid_file, err_file = tmp_path / "pids", tmp_path / "stderr"
+    with open(err_file, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SLEEPING_SWEEP, str(pid_file)], env=env,
+            stdout=subprocess.DEVNULL, stderr=err,
+        )
+    workers: set[int] = set()
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            if pid_file.exists():
+                workers = {int(line) for line in pid_file.read_text().split()}
+        assert len(workers) == 2, err_file.read_text()
+        proc.send_signal(signum)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while not all(map(_ended, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in workers if not _ended(pid)] == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in workers:
+            if not _ended(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+
+
 def test_monte_carlo_false_positive_control():
     for seed in (0, 1, 2):
         report = monte_carlo_sweep(small_config(mc_samples=10**4, seed=seed))
         assert report.passed, f"seed {seed} produced spurious rejections"
+
+
+def test_oracles_import_no_engine_code():
+    # The oracles check the engine, so from cvtrust they may take only the
+    # detector's description: no moment arithmetic of the engine they check.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "cvtrust"]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0
+            if node.module.split(".")[0] == "cvtrust":
+                assert node.module in ("cvtrust", "cvtrust.detectors")
+                taken |= {a.name for a in node.names}
+    assert taken and taken <= {"DetectorSpec", "HOMODYNE", "HETERODYNE", "KINDS"}
 
 
 def test_gaussian_weight_nodes_normalization():
@@ -769,7 +852,7 @@ def test_mixture_quadrature_oracle_matches_homodyne_engine():
     grid = np.linspace(density.mean[0] - 6 * sigma, density.mean[0] + 6 * sigma, 61)
     table = mixture_quadrature_oracle(1.5 + 0.5j, spec, grid)
     assert table.error_estimate <= 1e-9
-    assert np.max(np.abs(table.density - density.pdf(grid))) < 1e-8
+    assert np.max(np.abs(table.density - gaussian_pdf(density, grid))) < 1e-8
 
 
 def test_mixture_quadrature_oracle_matches_heterodyne_engine():
@@ -779,7 +862,7 @@ def test_mixture_quadrature_oracle_matches_heterodyne_engine():
     grid = (density.mean[0] + axis[:, None] + 1j * (density.mean[1] + axis[None, :])).ravel()
     table = mixture_quadrature_oracle(1 - 1j, spec, grid)
     assert table.error_estimate <= 1e-9
-    assert np.max(np.abs(table.density - density.pdf(grid))) < 1e-8
+    assert np.max(np.abs(table.density - gaussian_pdf(density, grid))) < 1e-8
 
 
 def test_mixture_quadrature_oracle_total_variation_bound():
@@ -788,7 +871,7 @@ def test_mixture_quadrature_oracle_total_variation_bound():
     sigma = np.sqrt(density.variance)
     grid = np.linspace(density.mean[0] - 8 * sigma, density.mean[0] + 8 * sigma, 2001)
     table = mixture_quadrature_oracle(2.0, spec, grid)
-    tv = 0.5 * np.trapezoid(np.abs(table.density - density.pdf(grid)), grid)
+    tv = 0.5 * np.trapezoid(np.abs(table.density - gaussian_pdf(density, grid)), grid)
     assert tv < 1e-8
 
 
@@ -810,10 +893,12 @@ def test_mixture_quadrature_oracle_reports_nonconvergence():
 
 
 def test_channel_moment_oracle_matches_engine():
-    out = transmit(coherent_state(1.5 - 0.5j), ChannelSpec(0.8, 1e-3))
+    # the output moments scenario_params implies: mean sqrt(t_eff) beta and
+    # per-quadrature variance (1 + xi_eff) / 4
+    t_eff, xi_eff = scenario_params(ChannelSpec(0.8, 1e-3))
     oracle = channel_moment_oracle(1.5 - 0.5j, 0.8, 1e-3)
-    assert np.allclose(oracle["mean"], out.mean, atol=1e-8)
-    assert np.allclose(oracle["variance"], np.diag(out.cov), atol=1e-8)
+    assert np.allclose(oracle["mean"], np.sqrt(t_eff) * np.array([1.5, -0.5]), atol=1e-8)
+    assert np.allclose(oracle["variance"], (1 + xi_eff) / 4, atol=1e-8)
 
 
 def test_channel_moment_oracle_degenerate_inputs():
