@@ -12,7 +12,19 @@ from cvtrust.channel import (
     scenario_params,
 )
 from cvtrust.detectors import HETERODYNE, HOMODYNE, DetectorSpec
+from cvtrust.gaussian import (
+    VACUUM_VARIANCE,
+    GaussianState,
+    coherent_state,
+    loss_channel,
+)
 from cvtrust.rescaling import rescale_plan
+
+
+def channel_output(state, t_eff, xi_eff):
+    # loss of transmittance t_eff, then xi_eff / 4 of added quadrature noise
+    lossy = loss_channel(state, t_eff)
+    return GaussianState(lossy.mean, lossy.variance + xi_eff * VACUUM_VARIANCE)
 
 
 def test_channel_spec_validation():
@@ -31,6 +43,46 @@ def test_channel_spec_validation():
     for bad in ([0.5, 0.0], [0.5, 1.5], [0.5, float("nan")]):
         with pytest.raises(ValueError):
             ChannelSpec(np.array(bad))
+
+
+def test_channel_coherent_output_moments():
+    # a coherent beta leaves with mean sqrt(eta) beta and variance (1 + eta xi0) / 4
+    out = channel_output(coherent_state(1.5 - 0.5j), *scenario_params(ChannelSpec(0.8, 1e-3)))
+    assert np.allclose(out.mean, np.sqrt(0.8) * np.array([1.5, -0.5]), rtol=1e-15)
+    assert np.isclose(out.variance, 0.2502, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("kind", [HOMODYNE, HETERODYNE])
+def test_lossless_noiseless_channel_is_identity(kind):
+    channel = ChannelSpec(1.0, 0.0)
+    spec = DetectorSpec(kind, 1.0, nbar=0.0)
+    state = coherent_state(2j)
+    for scenario in SCENARIOS:
+        t_eff, xi_eff = scenario_params(channel, spec, scenario)
+        assert (t_eff, xi_eff) == (1.0, 0.0)
+        out = channel_output(state, t_eff, xi_eff)
+        assert np.array_equal(out.mean, state.mean)
+        assert out.variance == state.variance
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eta=st.floats(1e-4, 1.0),
+    xi0=st.floats(0, 0.2),
+    eta_d=st.floats(0.1, 1.0),
+    nbar=st.floats(0, 3),
+    kind=st.sampled_from([HOMODYNE, HETERODYNE]),
+    input_nbar=st.floats(0, 5),
+)
+def test_channel_keeps_states_physical(eta, xi0, eta_d, nbar, kind, input_nbar):
+    # the uncertainty relation: no quadrature variance below the vacuum's
+    thermal = GaussianState(np.zeros(2), (2 * input_nbar + 1) * VACUUM_VARIANCE)
+    spec = DetectorSpec(kind, eta_d, nbar=nbar)
+    for scenario in SCENARIOS:
+        t_eff, xi_eff = scenario_params(ChannelSpec(eta, xi0), spec, scenario)
+        assert xi_eff >= 0
+        out = channel_output(thermal, t_eff, xi_eff)
+        assert out.variance >= VACUUM_VARIANCE - 1e-12
 
 
 def test_scenario_params_ideal():

@@ -25,6 +25,12 @@ def gauss_legendre_complex_nodes(var_component, n, radius):
     return nodes, np.outer(w1, w1).ravel()
 
 
+def test_coherent_state_at_zero_is_the_vacuum():
+    state = coherent_state(0.0)
+    assert np.array_equal(state.mean, np.zeros(2))
+    assert state.variance == VACUUM_VARIANCE == 0.25
+
+
 def test_vacuum_homodyne_density_peak():
     # the x marginal of the vacuum is N(0, 1/4); its peak is sqrt(2/pi)
     var = GaussianState(np.zeros(2), VACUUM_VARIANCE).variance
