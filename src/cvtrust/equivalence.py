@@ -11,9 +11,10 @@ are indistinguishable on coherent inputs:
 
 scipy is imported inside the functions that call it, so the rest of the
 package (and the scan, rescale and calibrate commands) loads without it;
-an analytic sweep needs only scipy.special.  KS p-values at 10^4 draws or
-fewer are exact and computed here, bit for bit as scipy.stats.ks_2samp
-computes them; above that they are scipy's kstwo.sf.
+both sweeps need only scipy.special.  KS p-values at 10^4 draws or fewer
+are exact and computed here, bit for bit as scipy.stats.ks_2samp computes
+them; above that they are scipy's kstwo.sf, computed bit for bit by
+kstail.kstwo_sf.
 
 Deliberate sabotage modes de-tune the rescale step so the machinery's
 ability to catch a wrong reduction can be tested.
@@ -526,11 +527,21 @@ def _merge_rank_statistic(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def _asymptotic_pvalue(d: float, n1: int, n2: int) -> float:
-    """scipy's asymptotic KS p-value, kstwo.sf(d, round(n1 n2 / (n1 + n2)))."""
+    """scipy's asymptotic KS p-value, kstwo.sf(d, round(n1 n2 / (n1 + n2))).
+
+    Above en = 140 it is kstail.kstwo_sf, on scipy.special alone; a sweep
+    draws 10^4 or more per sample, so en >= 5,000.  Only a smaller exact
+    cell's fallback, where ks_2samp's series leaves [0, 1], loads kstwo.
+    """
+    m, n = sorted((float(n1), float(n2)), reverse=True)
+    en = np.round(m * n / (m + n))
+    if en > 140:
+        from .kstail import kstwo_sf
+
+        return kstwo_sf(d, int(en))
     from scipy.stats import kstwo
 
-    m, n = sorted((float(n1), float(n2)), reverse=True)
-    return float(np.clip(kstwo.sf(d, np.round(m * n / (m + n))), 0.0, 1.0))
+    return float(np.clip(kstwo.sf(d, en), 0.0, 1.0))
 
 
 def _exact_pvalue(n: int, h: int) -> float:
@@ -697,10 +708,11 @@ def monte_carlo_sweep(config: SweepConfig) -> EquivalenceReport:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # Load scipy.stats before the first cell's samples exist (imported
-    # between allocations of that size it raised the peak RSS by 4-7 MiB at
-    # 5x10^5 draws), and before the pool forks, so every worker has it.
-    import scipy.stats  # noqa: F401
+    # Load the KS tail, and scipy.special with it, before the first cell's
+    # samples exist (scipy.stats, imported between allocations of that size,
+    # raised the peak RSS by 4-7 MiB at 5x10^5 draws), and before the pool
+    # forks, so every worker has it.
+    from . import kstail  # noqa: F401
 
     run_cell = partial(_mc_cell, config)
     todo = list(enumerate((a, *model) for model in _specs(config) for a in config.alphas))
@@ -709,7 +721,7 @@ def monte_carlo_sweep(config: SweepConfig) -> EquivalenceReport:
         cells = [run_cell(c) for c in todo]
     else:
         # Fork, not the platform default: a spawned or forkserver worker
-        # would import scipy again, at about 1 s each.
+        # would import numpy and scipy.special again, at about 0.5 s each.
         context = multiprocessing.get_context("fork")
         # About eight chunks per worker: few round trips for 10^4-draw
         # cells, and a balanced load when cells take seconds.

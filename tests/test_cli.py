@@ -826,8 +826,15 @@ one_cell = ["verify", "--eta-d", "0.7", "--nu", "1e-3", "--amplitudes", "1", "--
 codes.append(main(one_cell + ["--out", out + "/verify"]))
 after_verify = scipy_modules()
 codes.append(main(one_cell + ["--mode", "mc", "--mc-samples", "10000", "--out", out + "/mc"]))
+after_mc = scipy_modules()
+# One cell runs in this process, so a lazy import on the asymptotic route would show.
+codes.append(main(one_cell + ["--kind", "homodyne", "--mode", "mc", "--mc-samples", "10001",
+                              "--out", out + "/tail"]))
+after_tail = scipy_modules()
+import scipy.stats
 print(json.dumps({"codes": codes, "before_verify": before_verify,
-                  "after_verify": after_verify, "after_mc": scipy_modules(),
+                  "after_verify": after_verify, "after_mc": after_mc,
+                  "after_tail": after_tail, "after_stats": scipy_modules(),
                   "after_import": after_import,
                   "pools_before_verify": pools_before_verify}), file=sys.stderr)
 """
@@ -848,13 +855,15 @@ def test_only_verify_loads_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0, 0]
     assert result["before_verify"] == []
-    # An analytic verify needs scipy.special only; the Monte Carlo control
-    # shows that the probe does see scipy.stats once it loads.
-    assert "scipy.special" in result["after_verify"]
-    assert [m for m in result["after_verify"] if m.split(".")[:2] == ["scipy", "stats"]] == []
-    assert "scipy.stats" in result["after_mc"]
+    # An analytic verify and a Monte Carlo one, on the exact route (10^4
+    # draws) and the asymptotic one (10^4 + 1), need scipy.special only; the
+    # control shows that the probe does see scipy.stats once it loads.
+    for after in ("after_verify", "after_mc", "after_tail"):
+        assert "scipy.special" in result[after]
+        assert [m for m in result[after] if m.split(".")[:2] == ["scipy", "stats"]] == []
+    assert "scipy.stats" in result["after_stats"]
     # The Monte Carlo process pool is imported by the sweep, not by the CLI.
     assert result["after_import"] == []
     assert result["pools_before_verify"] == []

@@ -564,6 +564,65 @@ def test_ks_cell_single_tail_call_equals_two_call_minimum(seed, r_used):
         assert _ks_cell(pairs) == expected
 
 
+def _kstwo_branch(d: float, n: int) -> str:
+    """Which of kstwo_sf's branches P(D_n >= d) takes, by scipy's thresholds."""
+    x = np.asarray(d)
+    t = n * x
+    if x >= 1.0:
+        return "d >= 1"
+    if t <= 0.5:
+        return "n d <= 1/2"
+    if t <= 1.0:
+        return "Ruben-Gambino, n d <= 1"
+    if t >= n - 1:
+        return "Ruben-Gambino, n d >= n - 1"
+    if x >= 0.5 or 2.2 <= t * x < 370.0:
+        return "smirnov"
+    if t * x >= 370.0:
+        return "n d^2 >= 370"
+    if n <= 100_000 and n * x**1.5 <= 1.4:
+        return "Durbin matrix"
+    return "Pelz-Good"
+
+
+def test_kstwo_sf_equals_scipy_bit_for_bit(monkeypatch):
+    from scipy import special
+    from scipy.stats import kstwo
+
+    from cvtrust import kstail
+
+    # Both sides call scipy.special.smirnov with the same (n, d) on the
+    # smirnov branch, where its O(n) sum dominates the time; each value is
+    # computed once and handed to both.
+    smirnov, computed = special.smirnov, {}
+
+    def smirnov_once(n, x):
+        key = (n, float(x))
+        if key not in computed:
+            computed[key] = smirnov(n, x)
+        return computed[key]
+
+    monkeypatch.setattr(special, "smirnov", smirnov_once)
+    monkeypatch.setattr(kstail, "smirnov", smirnov_once)
+    rng = np.random.default_rng(17)
+    branches = set()
+    for n in (141, 5_001, 10**4, 99_999, 10**5, 10**5 + 1, 250_000, 5 * 10**6):
+        # at and next to every threshold (Pelz-Good's own: q underflows below
+        # z = d sqrt(n) = 0.0417), then log-uniform over [1 / 4n, 1]
+        edges = [0.5 / n, 1.0 / n, (n - 1) / n, 0.5, 1.0, (1.4 / n) ** (2 / 3),
+                 0.041743441416853426 / math.sqrt(n)]
+        edges += [math.sqrt(c / n) for c in (2.2, 18.0, 370.0)]
+        ds = [x for e in edges for x in (np.nextafter(e, 0.0), e, np.nextafter(e, 2.0))]
+        ds += np.exp(rng.uniform(math.log(0.25 / n), 0.0, 300)).tolist()
+        for d in map(float, ds):
+            want = float(np.clip(kstwo.sf(d, n), 0.0, 1.0))
+            assert kstail.kstwo_sf(d, n).hex() == want.hex(), (d, n)
+            branches.add(_kstwo_branch(d, n))
+    assert len(branches) == 8, branches
+    with pytest.raises(ValueError, match="n > 140"):
+        kstail.kstwo_sf(0.1, 140)
+
+
 def test_holm_rejections_step_down():
     assert holm_rejections([0.001, 0.02, 0.04, 0.5], 0.05) == {0}
     assert holm_rejections([0.001, 0.01, 0.02, 0.5], 0.05) == {0, 1, 2}
@@ -705,7 +764,7 @@ def test_monte_carlo_cells_equal_their_per_cell_reference(monkeypatch, sabotage)
 
 _CELL_PEAK_PROBE = """
 import multiprocessing, resource, sys
-import scipy.stats  # loaded before the fork, as monte_carlo_sweep does
+import scipy.special  # loaded before the fork, as monte_carlo_sweep does
 from cvtrust import equivalence
 from cvtrust.detectors import HETERODYNE, DetectorSpec
 
