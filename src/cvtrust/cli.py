@@ -125,14 +125,15 @@ def _parse_loss_grid(text: str) -> tuple[float, ...]:
             raise ValueError(
                 f"loss grid {text!r} has more than {MAX_GRID_POINTS} points"
             )
+        # stop is kept within rounding, but no point passes it by half a
+        # step, so the points number at most round((stop - start) / step) + 1.
+        tol = min(1e-9 * max(1.0, abs(stop)), step / 2)
         values = []
-        k = 0
-        while True:
+        for k in range(int((stop - start) / step + 0.5) + 1):
             value = start + k * step
-            if value > stop + 1e-9 * max(1.0, abs(stop)):
+            if value > stop + tol:
                 break
             values.append(value)
-            k += 1
         return tuple(values)
     return _parse_float_list(text)
 

@@ -11,10 +11,11 @@ are indistinguishable on coherent inputs:
 
 scipy is imported inside the functions that call it, so the rest of the
 package (and the scan, rescale and calibrate commands) loads without it;
-both sweeps need only scipy.special.  KS p-values at 10^4 draws or fewer
-are exact and computed here, bit for bit as scipy.stats.ks_2samp computes
-them; above that they are scipy's kstwo.sf, computed bit for bit by
-kstail.kstwo_sf.
+both sweeps need only scipy.special.  A Monte Carlo sweep draws n >= 10^4
+outcomes per model and cell.  KS p-values at n = 10^4 are exact and
+computed here, bit for bit as scipy's ks_2samp computes them; above that,
+and where the exact series leaves [0, 1], they are scipy's kstwo.sf at
+en = round(n / 2) >= 5,000, computed bit for bit by kstail.kstwo_sf.
 
 Deliberate sabotage modes de-tune the rescale step so the machinery's
 ability to catch a wrong reduction can be tested.
@@ -52,7 +53,7 @@ SABOTAGE_MODES = ("none", "skip-rescale", "scale-r")
 # at 10^6 and 2x10^6 draws; 72 live: the samples, then the KS step's merge
 # buffer and argsort or its rank counts and walk), 0.76 GB at the cap.  A sweep
 # has one cell in flight per worker process, so on two CPUs a sweep at the cap
-# peaks at about 1.5 GB.  _merge_rank_statistic's exactness relies on the cap.
+# peaks at about 1.5 GB.
 MAX_MC_SAMPLES = 10**7
 
 # Largest |Re alpha| or |Im alpha| a sweep accepts.  The two models round
@@ -396,7 +397,7 @@ def _normal_mass(lo, hi):
 
 
 def _disk_mass(x, nc):
-    """P(chi'^2_2(nc) <= x), as scipy.stats computes it: chdtr at nc = 0, else chndtr."""
+    """P(chi'^2_2(nc) <= x), as scipy's ncx2.cdf computes it: chdtr at nc = 0, else chndtr."""
     from scipy.special import chdtr, chndtr
 
     return np.where(nc == 0.0, chdtr(2.0, x), chndtr(x, 2.0, nc))
@@ -483,65 +484,43 @@ def _tv_distance(d1: OutcomeDensity, d2: OutcomeDensity) -> float:
 
 
 # Up to this many draws per sample KS p-values are exact (the tail of D_{n,n},
-# computed by _exact_pvalue as ks_2samp computes it); above it, kstwo.sf.
+# computed by _exact_pvalue as ks_2samp computes it); above it, kstwo_sf.
 _KS_EXACT_MAX_N = 10_000
 
 
 def _merge_rank_statistic(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Two-sided two-sample KS statistic, read off the merge ranks.
+    """Two-sided two-sample KS statistic of two samples of equal size n.
 
     Each empirical CDF is counted to the end of every group of equal
     values, which gives ks_2samp's statistic bit for bit.  Both samples
     are sorted in the halves of one buffer, and the extremes are found on
-    the integer walk w = (n2/g) below_x - (n1/g) (pos - below_x), g =
-    gcd(n1, n2), over the group ends pos (computed as (n/g) below_x -
-    (n1/g) pos, n = n1 + n2): ks_2samp's difference
-    below_x / n1 - (pos - below_x) / n2 is exactly g w / (n1 n2).  So
-    distinct walk levels are at least 1 / (n1 n2) >= 1e-14 apart, as
-    MAX_MC_SAMPLES is 10^7, while rounding moves the float difference by
-    under 1e-15: its float max and min are reached only where the walk
-    has its max and min, and the float difference is evaluated there.
+    the integer walk w = 2 below_x - pos over the group ends pos: ks_2samp's
+    difference below_x / n - (pos - below_x) / n is exactly w / n.  So
+    distinct walk levels are at least 1 / n apart, while rounding moves the
+    float difference by under 1e-15: its float max and min are reached only
+    where the walk has its max and min, and the float difference is
+    evaluated there.  |w| <= 2n < 2^31 keeps the walk in int32.  Samples
+    of unequal sizes raise numpy's ValueError.
     """
-    n1, n2 = len(xs), len(ys)
-    n = n1 + n2
-    values = np.empty(n)
-    values[:n1], values[n1:] = xs, ys
-    values[:n1].sort()
-    values[n1:].sort()
-    from_x = np.argsort(values, kind="stable") < n1
-    below_x = np.cumsum(from_x, dtype=np.int32 if n < 2**31 else np.int64)
+    n = len(xs)
+    values = np.concatenate((xs, ys), out=np.empty(2 * n))
+    values[:n].sort()
+    values[n:].sort()
+    from_x = np.argsort(values, kind="stable") < n
+    below_x = np.cumsum(from_x, dtype=np.int32)
     values.sort(kind="stable")
     ties = values[1:] == values[:-1]
-    ends = np.append(np.flatnonzero(~ties), n - 1) if ties.any() else None
+    ends = np.append(np.flatnonzero(~ties), 2 * n - 1) if ties.any() else None
     del from_x, values, ties
-    g = math.gcd(n1, n2)
-    walk = np.multiply(below_x, n // g, dtype=np.int64)
-    walk -= np.arange(n1 // g, (n + 1) * (n1 // g), n1 // g)  # pos = 1, ..., n
+    walk = below_x * 2
+    walk -= np.arange(1, 2 * n + 1, dtype=np.int32)  # pos = 1, ..., 2n
     if ends is not None:
         walk = walk[ends]
     top, bottom = (np.flatnonzero(walk == level) for level in (walk.max(), walk.min()))
     if ends is not None:
         top, bottom = ends[top], ends[bottom]
-    diffs = [below_x[at] / n1 - (at + 1 - below_x[at]) / n2 for at in (top, bottom)]
+    diffs = [below_x[at] / n - (at + 1 - below_x[at]) / n for at in (top, bottom)]
     return max(float(diffs[0].max()), float(-diffs[1].min()))
-
-
-def _asymptotic_pvalue(d: float, n1: int, n2: int) -> float:
-    """scipy's asymptotic KS p-value, kstwo.sf(d, round(n1 n2 / (n1 + n2))).
-
-    Above en = 140 it is kstail.kstwo_sf, on scipy.special alone; a sweep
-    draws 10^4 or more per sample, so en >= 5,000.  Only a smaller exact
-    cell's fallback, where ks_2samp's series leaves [0, 1], loads kstwo.
-    """
-    m, n = sorted((float(n1), float(n2)), reverse=True)
-    en = np.round(m * n / (m + n))
-    if en > 140:
-        from .kstail import kstwo_sf
-
-        return kstwo_sf(d, int(en))
-    from scipy.stats import kstwo
-
-    return float(np.clip(kstwo.sf(d, en), 0.0, 1.0))
 
 
 def _exact_pvalue(n: int, h: int) -> float:
@@ -569,30 +548,28 @@ def _exact_pvalue(n: int, h: int) -> float:
 def _ks_cell(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
     """Largest KS statistic over a cell's components and its cell p-value.
 
-    The cell p-value is the Bonferroni combination min(1, k min_j p_j)
-    over the k components, each p_j equal to ks_2samp's.  Every component
-    has the same sample sizes, and at fixed sizes the p-value falls as the
-    statistic grows, so only the component with the largest merge-rank
-    statistic is tested.  Up to 10^4 draws per sample the sizes must be
-    equal, and the statistic and its exact p-value are computed here, bit
-    for bit as ks_2samp's exact route computes them: the statistic is
+    Every component pairs two samples of the same size n, the cell's draws
+    per model.  The cell p-value is the Bonferroni combination
+    min(1, k min_j p_j) over the k components, each p_j equal to
+    ks_2samp's.  At fixed sizes the p-value falls as the statistic grows,
+    so only the component with the largest merge-rank statistic is tested.
+    Up to 10^4 draws the statistic and its exact p-value are computed here,
+    bit for bit as ks_2samp's exact route computes them: the statistic is
     rounded to a multiple h / n, and a series result outside [0, 1] falls
-    back to the asymptotic tail.  Above 10^4 draws the asymptotic tail
-    probability is evaluated once.
+    back to the asymptotic tail.  Above 10^4 draws the asymptotic tail is
+    evaluated once.  That tail is kstwo.sf(stat, round(n / 2)), half-even
+    as scipy rounds it; a sweep draws n >= 10^4, so round(n / 2) >= 5,000.
     """
-    n1, n2 = len(pairs[0][0]), len(pairs[0][1])
-    exact = max(n1, n2) <= _KS_EXACT_MAX_N
-    if exact and n1 != n2:
-        raise ValueError(f"exact KS p-values need equal sample sizes, got {n1} and {n2}")
+    from .kstail import kstwo_sf
+
+    n = len(pairs[0][0])
     stat = max(_merge_rank_statistic(xs, ys) for xs, ys in pairs)
-    if exact:
-        h = int(np.round(stat * n1))
-        stat = h * 1.0 / n1
-        pmin = 1.0 if h == 0 else _exact_pvalue(n1, h)
-        if not 0.0 <= pmin <= 1.0:
-            pmin = _asymptotic_pvalue(stat, n1, n2)
-    else:
-        pmin = _asymptotic_pvalue(stat, n1, n2)
+    if n <= _KS_EXACT_MAX_N:
+        h = int(np.round(stat * n))
+        stat = h * 1.0 / n
+        pmin = 1.0 if h == 0 else _exact_pvalue(n, h)
+    if n > _KS_EXACT_MAX_N or not 0.0 <= pmin <= 1.0:
+        pmin = kstwo_sf(stat, round(n / 2))
     return stat, min(1.0, len(pairs) * pmin)
 
 
@@ -709,9 +686,7 @@ def monte_carlo_sweep(config: SweepConfig) -> EquivalenceReport:
     from concurrent.futures import ProcessPoolExecutor
 
     # Load the KS tail, and scipy.special with it, before the first cell's
-    # samples exist (scipy.stats, imported between allocations of that size,
-    # raised the peak RSS by 4-7 MiB at 5x10^5 draws), and before the pool
-    # forks, so every worker has it.
+    # samples exist and before the pool forks, so every worker has it.
     from . import kstail  # noqa: F401
 
     run_cell = partial(_mc_cell, config)

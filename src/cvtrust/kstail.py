@@ -1,9 +1,10 @@
 """Upper tail of the two-sided one-sample Kolmogorov-Smirnov statistic.
 
-kstwo_sf(d, n) is P(D_n >= d), the value scipy.stats.kstwo.sf(d, n)
-returns, bit for bit, for integer n > 140: the sizes of every asymptotic
-KS p-value a Monte Carlo sweep takes.  It needs scipy.special only, and
-so spares a sweep the import of scipy.stats.
+kstwo_sf(d, n) is P(D_n >= d), the value scipy's kstwo.sf(d, n) returns,
+bit for bit, for integer n > 140.  A Monte Carlo sweep draws mc_samples
+>= 10^4 per model, and takes its asymptotic KS p-values at
+n = round(mc_samples / 2) >= 5,000.  The port needs scipy.special only,
+and so spares a sweep the import of scipy's statistics subpackage.
 
 The code is ported from scipy 1.17.1's scipy/stats/_ksstats.py, the
 branches of _kolmogn(n, d, cdf=False) that apply above n = 140, with the
@@ -213,7 +214,7 @@ def _kolmogn_PelzGood(n, x):
 
 
 def kstwo_sf(d: float, n: int) -> float:
-    """P(D_n >= d), bit for bit as scipy.stats.kstwo.sf(d, n), for integer n > 140."""
+    """P(D_n >= d), bit for bit as scipy's kstwo.sf(d, n), for integer n > 140."""
     if n <= 140:
         raise ValueError(f"kstwo_sf covers n > 140 only, got n = {n}")
     x = np.asarray(d, dtype=np.float64)

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cvtrust
-from cvtrust.cli import _json_text, main
+from cvtrust.cli import _json_text, _parse_loss_grid, main
 from cvtrust.detectors import KINDS, DetectorSpec
 from cvtrust.equivalence import MAX_MC_SAMPLES, SABOTAGE_MODES, SweepConfig
 from cvtrust.keyrate import PROTOCOLS, RATE_FUNCTIONS, RateParams, ScanConfig
@@ -323,6 +324,26 @@ def test_scan_rejects_oversized_or_non_finite_loss_grids(capsys, tmp_path, loss_
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "loss_db, count",
+    [
+        ("0:40:0.01", 4001),
+        ("0:30:0.25", 121),
+        ("0:1e-12:1e-13", 11),
+        ("0:1e-6:1e-9", 1001),
+        ("0:1e-300:1e-301", 11),
+        # start + k step stays 1e20 for thousands of k: the loop ends anyway
+        ("1e20:1e20:1", 1),
+    ],
+)
+def test_loss_grid_points_stay_within_half_a_step_of_stop(loss_db, count):
+    start, stop, step = map(float, loss_db.split(":"))
+    values = _parse_loss_grid(loss_db)
+    assert len(values) == count
+    assert values == tuple(start + k * step for k in range(count))
+    assert max(values) <= stop + step / 2
 
 
 def test_scan_reports_no_key_at_huge_excess_noise(capsys, tmp_path):
@@ -867,6 +888,23 @@ def test_only_verify_loads_scipy(tmp_path):
     # The Monte Carlo process pool is imported by the sweep, not by the CLI.
     assert result["after_import"] == []
     assert result["pools_before_verify"] == []
+
+
+def test_no_package_module_imports_scipy_stats():
+    # Statically, so that fallback paths no run reaches are covered too.
+    modules = sorted(Path(cvtrust.__file__).parent.glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not [m for m in names if m.split(".")[:2] == ["scipy", "stats"]], (
+                path.name, node.lineno
+            )
 
 
 def test_param_tol_below_the_floor_exits_2(capsys, tmp_path):

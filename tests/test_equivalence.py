@@ -438,11 +438,12 @@ def test_analytic_sweep_equals_its_per_cell_reference(monkeypatch, sabotage, amp
 def test_merge_rank_ks_matches_scipy_in_asymptotic_regime(decimals):
     rng = np.random.default_rng(11)
     xs = rng.standard_normal(20_000)
-    ys = 1.02 * rng.standard_normal(15_001) + 0.01
+    ys = 1.02 * rng.standard_normal(20_000) + 0.01
     if decimals is not None:
         # ties within and across the samples
         xs, ys = np.round(xs, decimals), np.round(ys, decimals)
-    for a, b in ((xs, ys), (ys, xs), (xs, xs[: 10_001][::-1])):
+    # the last pair shares two draws
+    for a, b in ((xs, ys), (ys, xs), (xs[:10_001], xs[-10_001:][::-1])):
         expected = ks_2samp(a, b)
         assert _ks_cell([(a, b)]) == (expected.statistic, expected.pvalue)
 
@@ -457,9 +458,27 @@ def test_merge_rank_ks_keeps_exact_pvalues_up_to_1e4():
                 xs, ys = np.round(xs, decimals), np.round(ys, decimals)
             expected = ks_2samp(xs, ys)
             assert _ks_cell([(xs, ys)]) == (expected.statistic, expected.pvalue)
-    # the exact route is only for the equal sizes a sweep draws
-    with pytest.raises(ValueError, match="equal sample sizes"):
-        _ks_cell([(rng.standard_normal(10_000), rng.standard_normal(9_000))])
+
+
+@pytest.mark.parametrize("n1, n2", [(10_000, 9_000), (20_001, 20_000), (50, 1), (1, 50)])
+def test_ks_cell_refuses_unequal_sample_sizes(n1, n2):
+    # A sweep draws the same number from both models; other sizes raise
+    # rather than give a statistic, a one-draw sample too.
+    rng = np.random.default_rng(14)
+    with pytest.raises(ValueError):
+        _ks_cell([(rng.standard_normal(n1), rng.standard_normal(n2))])
+
+
+@pytest.mark.parametrize("n", [10_003, 20_003])
+def test_ks_cell_at_odd_sizes_takes_the_half_even_tail_size(n):
+    # ks_2samp's asymptotic tail is kstwo.sf(d, round(n / 2)), rounded half
+    # to even: 5,002 and 10,002 here, one more than n // 2.
+    assert round(n / 2) == n // 2 + 1
+    rng = np.random.default_rng(n)
+    for shift in (0.0, 0.02, 0.05):
+        xs, ys = rng.standard_normal(n), rng.standard_normal(n) + shift
+        expected = ks_2samp(xs, ys)
+        assert _ks_cell([(xs, ys)]) == (expected.statistic, expected.pvalue)
 
 
 def _ks_edge_pairs():
@@ -472,13 +491,12 @@ def _ks_edge_pairs():
         "one-draw-each": (np.array([0.5]), np.array([-0.5])),
         "one-equal-draw-each": (np.array([0.5]), np.array([0.5])),
     }
-    # coprime unequal sizes above the exact regime, whose rank walk
-    # (n1 + n2) below_x outgrows int32
+    # odd sizes above the exact regime
     asymptotic = {
-        "all-equal": (np.full(60_000, -1.0), np.full(50_003, -1.0)),
+        "all-equal": (np.full(50_003, -1.0), np.full(50_003, -1.0)),
         "reversed-copy": (big, big[::-1]),
-        "disjoint": (big[:50_003] - 100.0, big[:60_000]),
-        "ties-across": (np.round(big[:60_000]), np.round(big[:50_003] * 1.1 + 0.1)),
+        "disjoint": (big[:50_003] - 100.0, big[-50_003:]),
+        "ties-across": (np.round(big[:50_003]), np.round(big[-50_003:] * 1.1 + 0.1)),
     }
     return [
         pytest.param(*pair, id=f"{route}-{name}")
@@ -490,7 +508,7 @@ def _ks_edge_pairs():
 @pytest.mark.parametrize("xs, ys", _ks_edge_pairs())
 def test_merge_rank_ks_matches_ks_2samp_on_edge_cases(xs, ys):
     # all values equal and a reversed copy (D = 0), disjoint supports (D = 1),
-    # one draw per sample, and ties across coprime unequal sizes
+    # one draw per sample, and ties across the samples
     for a, b in ((xs, ys), (ys, xs)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -522,12 +540,11 @@ def test_exact_pvalue_equals_the_untruncated_series():
         (10_000, 0.5, 1, True),
         (10_000, 1.5, 2, False),
         (10_000, 2.5, 3, True),
-        (7, 0.5, 1, True),
     ],
 )
 def test_ks_cell_matches_ks_2samp_at_the_smallest_statistics(n, offset, h, above_1):
     # h = 0 gives p = 1 without the series.  Where the series exceeds 1,
-    # both fall back to the asymptotic tail, which at n = 7 is below 1.
+    # both fall back to the asymptotic tail.
     xs = np.arange(n, dtype=float)
     ys = xs + offset
     with warnings.catch_warnings():
