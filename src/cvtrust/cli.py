@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 on success or a passing sweep, 1 when a verification or
 calibration fails, 2 on usage or configuration errors and on an output
 path that cannot be written, 141 (128 + SIGPIPE) when standard output is
-closed early (reports already written are kept).
+closed early (reports already written are kept).  verify and scan write
+PREFIX.json and PREFIX.csv, and check both paths before they start work.
 Report files are written atomically (temp file, then rename).  The
 default output directory is taken from CVTRUST_OUTPUT_DIR when set.
 """
@@ -56,6 +57,8 @@ from .rescaling import (
 
 OUTPUT_DIR_ENV = "CVTRUST_OUTPUT_DIR"
 
+_OUT_HELP = "write PREFIX.json and PREFIX.csv; both are checked before the run"
+
 # Largest number of points in a loss grid, and of cells in a verify grid.
 MAX_GRID_POINTS = 10**6
 
@@ -84,6 +87,19 @@ def _resolve_out(prefix: str) -> Path:
     if path.is_absolute():
         return path
     return Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / path
+
+
+def _report_paths(prefix: str) -> tuple[Path, Path]:
+    """PREFIX.json and PREFIX.csv, refused before the work that fills them if
+    the prefix ends in "", "." or "..", or if either path is a directory."""
+    if os.path.basename(prefix) in ("", ".", ".."):
+        raise ValueError(f"--out must end in a file name, got {prefix!r}")
+    out = _resolve_out(prefix)
+    paths = out.with_name(out.name + ".json"), out.with_name(out.name + ".csv")
+    for path in paths:
+        if path.is_dir():
+            raise ValueError(f"cannot write {path}: it is a directory")
+    return paths
 
 
 def _load_config(path: str | None) -> dict:
@@ -215,15 +231,15 @@ def _sweep_config_from_args(args: argparse.Namespace) -> tuple[SweepConfig, str]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    json_path, csv_path = _report_paths(args.out)
     config, mode = _sweep_config_from_args(args)
     if mode == "mc":
         report = monte_carlo_sweep(config)
     else:
         report = analytic_sweep(config)
     json_report, csv_report = report.report_texts()
-    out = _resolve_out(args.out)
-    _write_atomic(out.with_suffix(".json"), json_report)
-    _write_atomic(out.with_suffix(".csv"), csv_report)
+    _write_atomic(json_path, json_report)
+    _write_atomic(csv_path, csv_report)
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"{verdict} {mode} sweep: {len(report.cells)} cells, "
@@ -245,7 +261,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     if len(failing) > 10:
         print(f"  ... and {len(failing) - 10} more failing cells")
-    print(f"wrote {out.with_suffix('.json')} and {out.with_suffix('.csv')}")
+    print(f"wrote {json_path} and {csv_path}")
     return 0 if report.passed else 1
 
 
@@ -286,12 +302,12 @@ def _scan_config_from_args(args: argparse.Namespace) -> ScanConfig:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    json_path, csv_path = _report_paths(args.out)
     config = _scan_config_from_args(args)
     table = run_scan(config)
     json_report, csv_report = table.report_texts()
-    out = _resolve_out(args.out)
-    _write_atomic(out.with_suffix(".json"), json_report)
-    _write_atomic(out.with_suffix(".csv"), csv_report)
+    _write_atomic(json_path, json_report)
+    _write_atomic(csv_path, csv_report)
     print(
         f"scan: protocol={config.protocol} eta_e_min={table.eta_e_min:.12g} "
         f"points={len(config.loss_db)}"
@@ -303,7 +319,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         head = rates[0].rate if rates else float("nan")
         limit = f"{max(positive):g}" if positive else "none"
         print(f"{scenario:<10} {head:>16.6e} {limit:>18}")
-    print(f"wrote {out.with_suffix('.json')} and {out.with_suffix('.csv')}")
+    print(f"wrote {json_path} and {csv_path}")
     return 0
 
 
@@ -398,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--sabotage", choices=SABOTAGE_MODES)
     p_verify.add_argument("--config", help="JSON sweep config; flags override it")
     p_verify.add_argument(
-        "--out", default="equivalence_report", help="output path prefix"
+        "--out", default="equivalence_report", metavar="PREFIX", help=_OUT_HELP
     )
     p_verify.set_defaults(func=cmd_verify)
 
@@ -417,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--va", type=float, help="modulation variance (shot-noise units)")
     p_scan.add_argument("--beta", type=float, help="reconciliation efficiency")
     p_scan.add_argument("--config", help="JSON scan config; flags override it")
-    p_scan.add_argument("--out", default="scan", help="output path prefix")
+    p_scan.add_argument("--out", default="scan", metavar="PREFIX", help=_OUT_HELP)
     p_scan.set_defaults(func=cmd_scan)
 
     p_cal = sub.add_parser(

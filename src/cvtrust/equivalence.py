@@ -42,7 +42,7 @@ from .detectors import (
 )
 from .gaussian import coherent_state
 from .jsontext import (
-    json_items, json_list, json_object, json_object_template, json_text, real_number,
+    finite_reprs, json_items, json_list, json_object, json_object_template, json_text, real_number,
 )
 from .rescaling import rescale_plan
 
@@ -273,19 +273,19 @@ class EquivalenceReport:
         for c in self.cells:
             s, a = c.spec, c.alpha
             if id(s) not in specs:
-                eta_d, nbar = _finite_reprs(s.eta_d, s.nbar)
+                eta_d, nbar = finite_reprs(s.eta_d, s.nbar)
                 kind = encode_basestring_ascii(s.kind)
                 specs[id(s)] = (eta_d, kind, nbar, f"{s.kind},{eta_d},{nbar}")
             if id(a) not in alphas:
-                alphas[id(a)] = _finite_reprs(a.real, a.imag)
+                alphas[id(a)] = finite_reprs(a.real, a.imag)
             eta_d, kind, nbar, spec_csv = specs[id(s)]
             alpha_re, alpha_im = alphas[id(a)]
-            mean_gap, var_gap, tv = _finite_reprs(c.mean_gap, c.var_gap, c.tv_estimate)
+            mean_gap, var_gap, tv = finite_reprs(c.mean_gap, c.var_gap, c.tv_estimate)
             if c.ks_statistic is None:
                 ks_stat, ks_stat_csv = "null", ""
             else:
-                ks_stat = ks_stat_csv = _finite_reprs(c.ks_statistic)[0]
-            ks_pvalue = "null" if c.ks_pvalue is None else _finite_reprs(c.ks_pvalue)[0]
+                ks_stat = ks_stat_csv = finite_reprs(c.ks_statistic)[0]
+            ks_pvalue = "null" if c.ks_pvalue is None else finite_reprs(c.ks_pvalue)[0]
             passed = "true" if c.passed else "false"
             json_cells.append(
                 _JSON_CELL
@@ -304,13 +304,6 @@ class EquivalenceReport:
 
     def to_csv_text(self) -> str:
         return self.report_texts()[1]
-
-
-def _finite_reprs(*xs: float) -> tuple[str, ...]:
-    """The repr of each x, its JSON and CSV text; NaN or infinity raises json_text's ValueError."""
-    if not all(map(math.isfinite, xs)):
-        raise ValueError(f"Out of range float values are not JSON compliant: {xs!r}")
-    return tuple(map(repr, xs))
 
 
 def default_alpha_grid(

@@ -1,8 +1,9 @@
-"""The JSON boundary: the report writer, and the type checks of config values."""
+"""The JSON boundary: the writers' strict-JSON rule, and the type checks of config values."""
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from json.encoder import encode_basestring_ascii
 
@@ -34,6 +35,13 @@ def json_value(obj, indent: str = "\n") -> str:
 def json_text(obj) -> str:
     """The text of a report: obj as strict, key-sorted JSON with a two-space indent."""
     return json_value(obj) + "\n"
+
+
+def finite_reprs(*xs: float) -> tuple[str, ...]:
+    """The repr of each x, its JSON and CSV text; NaN or infinity raises json_text's ValueError."""
+    if not all(map(math.isfinite, xs)):
+        raise ValueError(f"Out of range float values are not JSON compliant: {xs!r}")
+    return tuple(map(repr, xs))
 
 
 def json_object_template(keys, indent: str) -> str:

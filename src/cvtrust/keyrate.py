@@ -6,10 +6,6 @@ channel under each accounting scenario, and hands the effective
 looked up by name; the shipped default evaluates the textbook asymptotic
 key rate of a Gaussian-modulated coherent-state protocol with reverse
 reconciliation against collective attacks.
-
-Security parameters (epsilon, pulse count) ride along as metadata for the
-report only; the shipped evaluator is asymptotic and does not consume
-them.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import numpy as np
 from .channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params
 from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec
 from .jsontext import (
-    json_items, json_list, json_object, json_object_template, json_value, real_number,
+    finite_reprs, json_items, json_list, json_object, json_object_template, json_value, real_number,
 )
 from .rescaling import harmonize
 
@@ -60,9 +56,6 @@ class RateParams:
         efficiency = real_number("reconciliation_efficiency", self.reconciliation_efficiency)
         if not 0.0 < efficiency <= 1.0:
             raise ValueError("reconciliation_efficiency must lie in (0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 # reference_rate leaves its textbook forms, which cancel or overflow (2.8e-9
@@ -196,8 +189,6 @@ class ScanConfig:
             protocol's key quadrature).
         rate_name: Registry name of the rate function.
         rate_params: Auxiliary parameters passed to the rate function.
-        epsilon_sec: Security parameter in (0, 1), report metadata only.
-        pulse_count: Finite block size >= 1, report metadata only.
     """
 
     loss_db: tuple[float, ...]
@@ -207,8 +198,6 @@ class ScanConfig:
     protocol: str = "heterodyne"
     rate_name: str = "asymptotic-rr-gaussian"
     rate_params: RateParams = field(default_factory=RateParams)
-    epsilon_sec: float = 2.0**-50
-    pulse_count: float = 1e12
 
     def __post_init__(self) -> None:
         loss_db = tuple(float(real_number("loss_db", x)) for x in self.loss_db)
@@ -230,10 +219,6 @@ class ScanConfig:
                 )
         if not math.isfinite(real_number("xi0", self.xi0)) or self.xi0 < 0:
             raise ValueError("xi0 must be finite and non-negative")
-        if not 0.0 < real_number("epsilon_sec", self.epsilon_sec) < 1.0:
-            raise ValueError(f"epsilon_sec must lie in (0, 1), got {self.epsilon_sec!r}")
-        if not 1.0 <= real_number("pulse_count", self.pulse_count) < math.inf:
-            raise ValueError(f"pulse_count must be finite and >= 1, got {self.pulse_count!r}")
         if not self.detectors:
             raise ValueError("at least one detector is required")
         if not self.scenarios:
@@ -324,8 +309,6 @@ class ScanTable:
     def _metadata(self) -> dict:
         return {
             "eta_e_min": self.eta_e_min,
-            "epsilon_sec": self.config.epsilon_sec,
-            "pulse_count": self.config.pulse_count,
             "rate_kind": self.config.rate_kind,
         }
 
@@ -347,16 +330,15 @@ class ScanTable:
         once by repr, as json and csv both do, and shared by both texts; a
         row that is not "ok" goes through csv.writer, which quotes its status.
         """
-        losses = {x: repr(x) for x in self.config.loss_db}
+        losses = {x: repr(x) for x in self.config.loss_db}  # finite: ScanConfig checks them
         json_rows = []
         csv_out = io.StringIO()
         csv_out.write("loss_dB,scenario,t_eff,xi_eff,rate,status\n")
         csv_writer = csv.writer(csv_out, lineterminator="\n")
         for r in self.rows:
-            if not all(map(math.isfinite, (r.loss_db, r.t_eff, r.xi_eff))):
-                raise ValueError(f"Out of range float values are not JSON compliant: {r}")
-            loss = losses.get(r.loss_db) or repr(r.loss_db)
-            t_eff, xi_eff, rate = repr(r.t_eff), repr(r.xi_eff), repr(r.rate)
+            loss = losses.get(r.loss_db) or finite_reprs(r.loss_db)[0]
+            t_eff, xi_eff = finite_reprs(r.t_eff, r.xi_eff)
+            rate = repr(r.rate)
             quoted = map(encode_basestring_ascii, (r.scenario, r.status))
             json_rate = rate if math.isfinite(r.rate) else "null"
             json_rows.append(_JSON_ROW % (loss, json_rate, *quoted, t_eff, xi_eff))

@@ -22,7 +22,7 @@ import cvtrust
 from cvtrust.cli import _json_text, _parse_loss_grid, main
 from cvtrust.detectors import KINDS, DetectorSpec
 from cvtrust.equivalence import MAX_MC_SAMPLES, SABOTAGE_MODES, SweepConfig
-from cvtrust.keyrate import PROTOCOLS, RATE_FUNCTIONS, RateParams, ScanConfig
+from cvtrust.keyrate import PROTOCOLS, RATE_FUNCTIONS, ScanConfig
 from cvtrust.rescaling import rescale_plan
 
 pytestmark = pytest.mark.usefixtures("isolated_output_dir")
@@ -509,6 +509,8 @@ _SCAN_BASE = {
         ("verify", '"alphas": [5]', ()),
         ("verify", '"alphas": [[1, 0, 0]]', ()),
         ("verify", '"specs": [[]]', ()),
+        ("scan", '"epsilon_sec": 1e-10', ()),
+        ("scan", '"pulse_count": 1e12', ()),
     ],
 )
 def test_malformed_config_values_exit_2(capsys, tmp_path, command, value, flags):
@@ -527,10 +529,9 @@ def test_malformed_config_values_exit_2(capsys, tmp_path, command, value, flags)
     [
         (SweepConfig(alphas=(1j,), specs=(DetectorSpec("homodyne", 0.7, 0.01),)), True),
         (ScanConfig(loss_db=(0.0,), xi0=0.0, detectors=(DetectorSpec("heterodyne", 0.7),)), True),
-        (RateParams(), False),
         (rescale_plan(DetectorSpec("heterodyne", 0.7, 0.01)), False),
     ],
-    ids=["SweepConfig", "ScanConfig", "RateParams", "RescalePlan"],
+    ids=["SweepConfig", "ScanConfig", "RescalePlan"],
 )
 def test_json_dict_keys_are_the_dataclass_fields(obj, schema):
     keys = {f.name for f in fields(obj)} | ({"schema"} if schema else set())
@@ -575,12 +576,6 @@ def test_report_writer_equals_the_indented_json_dumps(obj):
 @pytest.mark.parametrize(
     "command, value, key",
     [
-        ("scan", '"epsilon_sec": "x"', "epsilon_sec"),
-        ("scan", '"epsilon_sec": NaN', "epsilon_sec"),
-        ("scan", '"epsilon_sec": 1', "epsilon_sec"),
-        ("scan", '"pulse_count": [1, {}]', "pulse_count"),
-        ("scan", '"pulse_count": 0.5', "pulse_count"),
-        ("scan", '"pulse_count": Infinity', "pulse_count"),
         ("scan", '"xi0": true', "xi0"),
         ("scan", '"xi0": "0.1"', "xi0"),
         ("scan", '"loss_db": [0, true]', "loss_db"),
@@ -821,6 +816,47 @@ def test_an_output_file_that_is_a_directory_exits_2_leaving_no_temp_file(
     assert list(tmp_path.rglob("*")) == [target]
 
 
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS[:2], ids=lambda argv: argv[0])
+def test_a_csv_report_that_is_a_directory_exits_2_leaving_no_json(capsys, tmp_path, argv):
+    target = tmp_path / "taken.csv"
+    target.mkdir()
+    code, out, err = run_cli(capsys, *argv, "--out", "taken")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+    assert list(tmp_path.rglob("*")) == [target]
+
+
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS[:2], ids=lambda argv: argv[0])
+def test_a_dotted_prefix_keeps_its_whole_name(capsys, tmp_path, argv):
+    for prefix in ("eta0.7", "eta0.9"):
+        code, out, _ = run_cli(capsys, *argv, "--out", prefix)
+        assert code == 0
+        assert out.endswith(f"wrote {tmp_path / prefix}.json and {tmp_path / prefix}.csv\n")
+    names = ["eta0.7.csv", "eta0.7.json", "eta0.9.csv", "eta0.9.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+def _refuse_to_run(*args):
+    raise AssertionError("the work ran before its output path was checked")
+
+
+@pytest.mark.parametrize("prefix", ["", ".", "..", "sub/", "sub/."])
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS[:2], ids=lambda argv: argv[0])
+def test_an_out_prefix_without_a_file_name_exits_2_before_the_work(
+    capsys, tmp_path, monkeypatch, argv, prefix
+):
+    monkeypatch.setattr("cvtrust.cli.analytic_sweep", _refuse_to_run)
+    monkeypatch.setattr("cvtrust.cli.run_scan", _refuse_to_run)
+    parent = set(tmp_path.parent.iterdir())
+    code, out, err = run_cli(capsys, *argv, "--out", prefix)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --out must end in a file name, got {prefix!r}\n"
+    assert list(tmp_path.iterdir()) == []
+    assert set(tmp_path.parent.iterdir()) == parent
+
+
 _SCIPY_PROBE = """
 import json, sys
 import cvtrust
@@ -983,6 +1019,10 @@ def _config(draw, base, keys):
     return json.dumps(data).replace(f'"{_BIG}"', "1e400")
 
 
+# --out prefixes below the output directory; "", "." and ".." name no file.
+_OUT_NAMES = st.sampled_from(["report", "r.v1", "", ".", ".."])
+
+
 def _maybe(draw, flag, values):
     return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
 
@@ -1019,7 +1059,8 @@ def _verify_case(draw):
     argv += _maybe(draw, "--mc-samples", st.sampled_from([-1, 0, 10_000, MAX_MC_SAMPLES + 1]))
     argv += _maybe(draw, "--sabotage", st.sampled_from(SABOTAGE_MODES))
     argv += _maybe(draw, "--mode", st.sampled_from(["analytic", "mc"]))
-    return argv + ["--out=@out/report"], {"config": _config(draw, base, keys)}
+    argv.append("--out=@out/" + draw(_OUT_NAMES))
+    return argv, {"config": _config(draw, base, keys)}
 
 
 @st.composite
@@ -1046,7 +1087,7 @@ def _scan_case(draw):
     argv += _maybe(draw, "--rate", st.sampled_from(sorted(RATE_FUNCTIONS)))
     argv += _maybe(draw, "--va", _NUM)
     argv += _maybe(draw, "--beta", _NUM)
-    return argv + ["--out=@out/report"], files
+    return argv + ["--out=@out/" + draw(_OUT_NAMES)], files
 
 
 @st.composite
@@ -1094,14 +1135,17 @@ def test_every_argv_ends_in_a_report_a_failed_verdict_or_one_error_line(cases, d
                 code = main(argv)
         written = {p.name: p.read_text() for p in Path(outputs).iterdir()}
     command = argv[0]
+    if command in ("verify", "scan") and os.path.basename(argv[-1]) in ("", ".", ".."):
+        assert code == 2
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert caught == [] and written == {}
         return
     assert code == 0 or (code == 1 and command in ("verify", "calibrate"))
     if command in ("verify", "scan"):
-        assert sorted(written) == ["report.csv", "report.json"]
-        _strict_json(written["report.json"])
+        name = os.path.basename(argv[-1].removeprefix("--out="))
+        assert sorted(written) == [f"{name}.csv", f"{name}.json"]
+        _strict_json(written[f"{name}.json"])
     elif code == 0:
         result = _strict_json(out.getvalue())
         assert all(_strict_json(text) == result for text in written.values())

@@ -261,11 +261,9 @@ def test_scan_config_json_roundtrip():
     assert back.loss_db == config.loss_db
     assert back.detectors == config.detectors
     assert back.rate_params == config.rate_params
-    assert back.epsilon_sec == 2.0**-50
-    assert back.pulse_count == 1e12
-    data["surprise"] = True
-    with pytest.raises(ValueError):
-        ScanConfig.from_json_dict(data)
+    for key in ("surprise", "epsilon_sec", "pulse_count"):
+        with pytest.raises(ValueError, match=f"unknown scan config keys: \\['{key}'\\]"):
+            ScanConfig.from_json_dict({**data, key: 1e-10})
 
 
 def test_run_scan_frozen_heterodyne_values():
@@ -388,13 +386,23 @@ def test_one_pass_reports_equal_the_json_writer_and_csv_writer_forms():
         assert csv_report == t.to_csv_text() == _csv_writer_text(t)
 
 
+@pytest.mark.parametrize("field", ["loss_db", "t_eff", "xi_eff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_one_pass_reports_refuse_non_finite_values_as_json_text_does(field, value):
+    table = run_scan(het_scan_config(loss_db=(0.0, 10.0)))
+    table = replace(table, rows=(replace(table.rows[0], **{field: value}), *table.rows[1:]))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json_text(table.to_json_dict())
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        table.report_texts()
+
+
 def test_scan_table_serialization():
     table = run_scan(het_scan_config(loss_db=(0.0, 10.0)))
     data = table.to_json_dict()
     assert data["schema"] == "cvtrust/scan-report/1"
     assert data["metadata"]["eta_e_min"] == table.eta_e_min
     assert data["metadata"]["rate_kind"] == HETERODYNE
-    assert data["metadata"]["epsilon_sec"] == 2.0**-50
     assert len(data["rows"]) == len(table.rows)
     lines = table.to_csv_text().splitlines()
     assert lines[0] == "loss_dB,scenario,t_eff,xi_eff,rate,status"

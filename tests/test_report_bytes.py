@@ -85,12 +85,12 @@ DIGESTS = {
     ),
     "scan-heterodyne": (
         0,
-        "1eb12faee54b33e39ab777e49fa15bf8664b40eb693a26afba99df5aaba4969b",
+        "bacfc65c09a70e08c1136a71abab3f08198cd1a202fa9abac5311905324a786a",
         "6c5fb91167c9ebc6aa3561c70f784ab3e577d7f5190005fccb5655b5b1fa9ea0",
     ),
     "scan-hybrid": (
         0,
-        "3f99c8c4a07bc53bb2fdc8bdfc3afa21a29624e0fa79e16f08ad146c1ddb94be",
+        "d7dba29d3ac128b0e6a63357b254ecba0562ab0c7e08e0098dbbef5b25340fce",
         "4c474f3c5e8dfcac577bd2f1a155dd876b1d56f6e9fda4f90b6d109900e9e880",
     ),
     "verify": (
