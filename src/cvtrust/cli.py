@@ -10,9 +10,9 @@ Exit codes: 0 on success or a passing sweep, 1 when a verification or
 calibration fails, 2 on usage or configuration errors and on an output
 path that cannot be written, 141 (128 + SIGPIPE) when standard output is
 closed early (reports already written are kept).  verify and scan write
-PREFIX.json and PREFIX.csv, and check both paths before they start work.
-Report files are written atomically (temp file, then rename).  The
-default output directory is taken from CVTRUST_OUTPUT_DIR when set.
+PREFIX.json and PREFIX.csv, calibrate --out the file it names; each checks
+its paths before any work and writes them atomically (temp file, then
+rename).  Relative paths are taken from CVTRUST_OUTPUT_DIR when set.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ OUTPUT_DIR_ENV = "CVTRUST_OUTPUT_DIR"
 
 _OUT_HELP = "write PREFIX.json and PREFIX.csv; both are checked before the run"
 
+VERIFY_MODES = ("analytic", "mc")
+
 # Largest number of points in a loss grid, and of cells in a verify grid.
 MAX_GRID_POINTS = 10**6
 
@@ -82,23 +84,20 @@ def _write_atomic(path: Path, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
-def _resolve_out(prefix: str) -> Path:
-    path = Path(prefix)
-    if path.is_absolute():
-        return path
-    return Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / path
-
-
-def _report_paths(prefix: str) -> tuple[Path, Path]:
-    """PREFIX.json and PREFIX.csv, refused before the work that fills them if
-    the prefix ends in "", "." or "..", or if either path is a directory."""
-    if os.path.basename(prefix) in ("", ".", ".."):
-        raise ValueError(f"--out must end in a file name, got {prefix!r}")
-    out = _resolve_out(prefix)
-    paths = out.with_name(out.name + ".json"), out.with_name(out.name + ".csv")
+def _out_paths(value: str, *suffixes: str) -> list[Path]:
+    """VALUE plus each suffix, refused before the work that fills them if the
+    value ends in "", "." or "..", if a path is a directory, or if an
+    existing ancestor is not a directory."""
+    if os.path.basename(value) in ("", ".", ".."):
+        raise ValueError(f"--out must end in a file name, got {value!r}")
+    out = Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / value  # an absolute value wins
+    paths = [out.with_name(out.name + suffix) for suffix in suffixes]
     for path in paths:
         if path.is_dir():
             raise ValueError(f"cannot write {path}: it is a directory")
+    blocker = next((p for p in out.parents if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise ValueError(f"cannot write {paths[0]}: {blocker} is not a directory")
     return paths
 
 
@@ -158,24 +157,17 @@ def _detector_from_noise_flags(kind, eta_d, nbar, nu, two_nu) -> DetectorSpec:
     given = [name for name, val in (("--nbar", nbar), ("--nu", nu), ("--two-nu", two_nu)) if val is not None]
     if len(given) != 1:
         raise ValueError("give exactly one of --nbar, --nu, --two-nu")
-    if nbar is not None:
-        if eta_d is None:
-            raise ValueError("--nbar requires --eta-d")
-        return DetectorSpec(kind, eta_d, nbar)
     if eta_d is None:
-        raise ValueError("building a detector from --nu/--two-nu requires --eta-d")
+        raise ValueError(f"{given[0]} requires --eta-d")
+    if nbar is not None:
+        return DetectorSpec(kind, eta_d, nbar)
     return DetectorSpec.from_noise_product(kind, eta_d, nu=nu, two_nu=two_nu)
 
 
 def cmd_rescale(args: argparse.Namespace) -> int:
-    for flag, value in (("--eta-d", args.eta_d), ("--nbar", args.nbar)):
-        if args.limit and value is not None:
-            raise ValueError(f"--limit and {flag} are mutually exclusive")
-    if args.nu is not None and args.two_nu is not None:
-        raise ValueError("--nu and --two-nu are mutually exclusive")
-    if args.limit or (args.eta_d is None and args.nbar is None):
-        if args.nu is None and args.two_nu is None:
-            raise ValueError("the limit form needs --nu or --two-nu")
+    if args.eta_d is None and args.nbar is None:  # the eta_d -> 1 limit form
+        if (args.nu is None) == (args.two_nu is None):
+            raise ValueError("the limit form needs exactly one of --nu, --two-nu")
         nu = args.nu if args.nu is not None else args.two_nu / 2.0
         plan = rescale_plan_limit(nu, args.kind)
     else:
@@ -194,15 +186,15 @@ def _sweep_config_from_args(args: argparse.Namespace) -> tuple[SweepConfig, str]
         mode = config_data.pop("mode", "analytic")
     else:
         config_data.pop("mode", None)
-    if mode not in ("analytic", "mc"):
-        raise ValueError(f"mode must be 'analytic' or 'mc', got {mode!r}")
+    if mode not in VERIFY_MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, VERIFY_MODES))}, got {mode!r}")
     if config_data:
         base = SweepConfig.from_json_dict(config_data)
     else:
         base = default_sweep_config()
     overrides = {}
     if args.eta_d or args.nu is not None or args.kind:
-        kinds = KINDS if args.kind in (None, "both") else (args.kind,)
+        kinds = KINDS if args.kind is None else (args.kind,)
         grid_kwargs = {"kinds": kinds}
         if args.eta_d:
             grid_kwargs["eta_ds"] = tuple(args.eta_d)
@@ -231,7 +223,7 @@ def _sweep_config_from_args(args: argparse.Namespace) -> tuple[SweepConfig, str]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    json_path, csv_path = _report_paths(args.out)
+    json_path, csv_path = _out_paths(args.out, ".json", ".csv")
     config, mode = _sweep_config_from_args(args)
     if mode == "mc":
         report = monte_carlo_sweep(config)
@@ -302,7 +294,7 @@ def _scan_config_from_args(args: argparse.Namespace) -> ScanConfig:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    json_path, csv_path = _report_paths(args.out)
+    json_path, csv_path = _out_paths(args.out, ".json", ".csv")
     config = _scan_config_from_args(args)
     table = run_scan(config)
     json_report, csv_report = table.report_texts()
@@ -324,6 +316,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    out = None if args.out is None else _out_paths(args.out, "")[0]
     if (args.vacuum_variance is None) == (args.samples is None):
         raise ValueError("give exactly one of --vacuum-variance and --samples")
     if args.vacuum_variance is not None:
@@ -352,8 +345,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         return 1
     payload = {"kind": args.kind, "variance": variance, "nu": nu}
     text = _json_text(payload)
-    if args.out is not None:
-        _write_atomic(_resolve_out(args.out), text)
+    if out is not None:
+        _write_atomic(out, text)
     print(text, end="")
     return 0
 
@@ -373,17 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rescale.add_argument("--nbar", type=float, help="thermal photon number")
     p_rescale.add_argument("--nu", type=float, help="noise product nbar(1-eta_d)")
     p_rescale.add_argument("--two-nu", type=float, help="2 nbar(1-eta_d)")
-    p_rescale.add_argument(
-        "--limit",
-        action="store_true",
-        help="use the eta_d -> 1 limit at fixed nu (implied when --eta-d is absent)",
-    )
     p_rescale.set_defaults(func=cmd_rescale)
 
     p_verify = sub.add_parser(
         "verify", help="run an equivalence sweep and write JSON+CSV reports"
     )
-    p_verify.add_argument("--mode", choices=("analytic", "mc"))
+    p_verify.add_argument("--mode", choices=VERIFY_MODES)
     p_verify.add_argument(
         "--eta-d", type=float, action="append", help="restrict the efficiency grid"
     )
@@ -393,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="restrict the noise-product grid",
     )
-    p_verify.add_argument("--kind", choices=KINDS + ("both",))
+    p_verify.add_argument("--kind", choices=KINDS)
     p_verify.add_argument("--amplitudes", help="comma list of coherent moduli")
     p_verify.add_argument("--phases", type=int, help="phases per modulus")
     p_verify.add_argument(
@@ -446,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument(
         "--samples", help="text file of raw vacuum-probe outcomes, one draw per line"
     )
-    p_cal.add_argument("--out", help="also write the result JSON to this file")
+    p_cal.add_argument("--out", help="also write the result JSON here; checked before the run")
     p_cal.set_defaults(func=cmd_calibrate)
 
     return parser

@@ -63,14 +63,6 @@ def test_rescale_limit_form(capsys):
     assert plan["eta_e"] == 1 / 1.004
 
 
-def test_rescale_explicit_limit_flag(capsys):
-    code, out, _ = run_cli(
-        capsys, "rescale", "--kind", "heterodyne", "--limit", "--two-nu", "4e-3"
-    )
-    assert code == 0
-    assert json.loads(out)["nu"] == 2e-3
-
-
 def test_rescale_flag_conflicts(capsys):
     code, _, err = run_cli(
         capsys, "rescale", "--kind", "homodyne", "--nu", "1e-3", "--two-nu", "2e-3"
@@ -83,6 +75,34 @@ def test_rescale_flag_conflicts(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "rescale", "--kind", "homodyne")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--eta-d", "0.7", "--nu", "1e-3", "--two-nu", "2e-3"),
+        ("--eta-d", "0.7", "--nbar", "0.1", "--nu", "1e-3"),
+        ("--eta-d", "0.7", "--nbar", "0.1", "--two-nu", "2e-3"),
+        ("--eta-d", "0.7", "--nbar", "0.1", "--nu", "1e-3", "--two-nu", "2e-3"),
+        ("--eta-d", "0.7"),
+        ("--eta-d", "1.5", "--nu", "1e-3"),
+        ("--eta-d", "0.7", "--two-nu=-2e-3"),
+        ("--eta-d", "0.7", "--nbar", "nan"),
+    ],
+)
+def test_rescale_and_scan_give_the_same_error_for_the_same_detector_flags(
+    capsys, tmp_path, flags
+):
+    # scan builds a heterodyne detector for its default protocol.
+    errors = []
+    for command in (("rescale", "--kind", "heterodyne"), ("scan",)):
+        code, out, err = run_cli(capsys, *command, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -407,7 +427,7 @@ def test_inputs_that_would_reach_a_report_as_nan_or_infinity_exit_2(capsys, tmp_
 @pytest.mark.parametrize(
     "argv, key",
     [
-        (("rescale", "--kind", "homodyne", "--limit", "--nu", "0.1", "--nbar", "3"), "--nbar"),
+        (("rescale", "--kind", "homodyne", "--nu", "0.1", "--nbar", "3"), "--nbar"),
         (("verify", "--amplitudes", "1e7", "--out", "bad"), "alphas"),
         (
             (
@@ -790,6 +810,18 @@ _WRITING_COMMANDS = [
 ]
 
 
+def _refuse_to_run(*args):
+    raise AssertionError("the work ran before its output path was checked")
+
+
+@pytest.fixture
+def refuse_the_work(monkeypatch):
+    """Make the sweep, the scan and the calibration raise if they are reached."""
+    for name in ("analytic_sweep", "run_scan", "noise_figure_from_vacuum_variance"):
+        monkeypatch.setattr(f"cvtrust.cli.{name}", _refuse_to_run)
+
+
+@pytest.mark.usefixtures("refuse_the_work")
 @pytest.mark.parametrize("below", ["x", "a/x"])
 @pytest.mark.parametrize("argv", _WRITING_COMMANDS, ids=lambda argv: argv[0])
 def test_an_output_path_under_a_regular_file_exits_2(capsys, tmp_path, argv, below):
@@ -802,6 +834,7 @@ def test_an_output_path_under_a_regular_file_exits_2(capsys, tmp_path, argv, bel
     assert list(tmp_path.rglob("*")) == [blocker]
 
 
+@pytest.mark.usefixtures("refuse_the_work")
 @pytest.mark.parametrize("argv", _WRITING_COMMANDS, ids=lambda argv: argv[0])
 def test_an_output_file_that_is_a_directory_exits_2_leaving_no_temp_file(
     capsys, tmp_path, argv
@@ -837,17 +870,12 @@ def test_a_dotted_prefix_keeps_its_whole_name(capsys, tmp_path, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
-def _refuse_to_run(*args):
-    raise AssertionError("the work ran before its output path was checked")
-
-
+@pytest.mark.usefixtures("refuse_the_work")
 @pytest.mark.parametrize("prefix", ["", ".", "..", "sub/", "sub/."])
-@pytest.mark.parametrize("argv", _WRITING_COMMANDS[:2], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS, ids=lambda argv: argv[0])
 def test_an_out_prefix_without_a_file_name_exits_2_before_the_work(
-    capsys, tmp_path, monkeypatch, argv, prefix
+    capsys, tmp_path, argv, prefix
 ):
-    monkeypatch.setattr("cvtrust.cli.analytic_sweep", _refuse_to_run)
-    monkeypatch.setattr("cvtrust.cli.run_scan", _refuse_to_run)
     parent = set(tmp_path.parent.iterdir())
     code, out, err = run_cli(capsys, *argv, "--out", prefix)
     assert code == 2
@@ -1032,8 +1060,6 @@ def _rescale_case(draw):
     argv = ["rescale", f"--kind={draw(st.sampled_from(KINDS))}"]
     for flag in ("--eta-d", "--nbar", "--nu", "--two-nu"):
         argv += _maybe(draw, flag, _NUM)
-    if draw(st.booleans()):
-        argv.append("--limit")
     return argv, {}
 
 
@@ -1099,7 +1125,7 @@ def _calibrate_case(draw):
         files["samples"] = "\n".join(" ".join(line) for line in lines)
         argv.append("--samples=@samples")
     if draw(st.booleans()):
-        argv.append("--out=@out/cal.json")
+        argv.append("--out=@out/" + draw(_OUT_NAMES))
     return argv, files
 
 
@@ -1135,7 +1161,8 @@ def test_every_argv_ends_in_a_report_a_failed_verdict_or_one_error_line(cases, d
                 code = main(argv)
         written = {p.name: p.read_text() for p in Path(outputs).iterdir()}
     command = argv[0]
-    if command in ("verify", "scan") and os.path.basename(argv[-1]) in ("", ".", ".."):
+    out_name = os.path.basename(argv[-1]) if argv[-1].startswith("--out=") else None
+    if out_name in ("", ".", ".."):
         assert code == 2
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
@@ -1143,11 +1170,11 @@ def test_every_argv_ends_in_a_report_a_failed_verdict_or_one_error_line(cases, d
         return
     assert code == 0 or (code == 1 and command in ("verify", "calibrate"))
     if command in ("verify", "scan"):
-        name = os.path.basename(argv[-1].removeprefix("--out="))
-        assert sorted(written) == [f"{name}.csv", f"{name}.json"]
-        _strict_json(written[f"{name}.json"])
+        assert sorted(written) == [f"{out_name}.csv", f"{out_name}.json"]
+        _strict_json(written[f"{out_name}.json"])
     elif code == 0:
         result = _strict_json(out.getvalue())
+        assert sorted(written) == ([] if out_name is None else [out_name])
         assert all(_strict_json(text) == result for text in written.values())
     else:
         assert err.getvalue().startswith("calibration failed: ") and written == {}
