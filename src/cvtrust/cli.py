@@ -305,12 +305,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
         f"points={len(config.loss_db)}"
     )
     print(f"{'scenario':<10} {'rate@min_loss':>16} {'positive_up_to_dB':>18}")
+    # One pass: run_scan sorts rows by (scenario, loss_db), so a scenario's
+    # first row is its least loss and its last positive row its greatest.
+    head, limit = {}, {}
+    for loss_db, scenario, _, _, rate, status in table.rows:
+        head.setdefault(scenario, rate)
+        if status == "ok" and rate > 0:
+            limit[scenario] = loss_db
     for scenario in sorted(config.scenarios):
-        rates = [r for r in table.rows if r.scenario == scenario]
-        positive = [r.loss_db for r in rates if r.status == "ok" and r.rate > 0]
-        head = rates[0].rate if rates else float("nan")
-        limit = f"{max(positive):g}" if positive else "none"
-        print(f"{scenario:<10} {head:>16.6e} {limit:>18}")
+        positive = f"{limit[scenario]:g}" if scenario in limit else "none"
+        print(f"{scenario:<10} {head.get(scenario, math.nan):>16.6e} {positive:>18}")
     print(f"wrote {json_path} and {csv_path}")
     return 0
 

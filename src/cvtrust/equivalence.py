@@ -18,7 +18,9 @@ and where the exact series leaves [0, 1], they are scipy's kstwo.sf at
 en = round(n / 2) >= 5,000, computed bit for bit by kstail.kstwo_sf.
 
 Deliberate sabotage modes de-tune the rescale step so the machinery's
-ability to catch a wrong reduction can be tested.
+ability to catch a wrong reduction can be tested.  The 32-cell Monte Carlo
+grid that the acceptance suite sweeps, and the TV of a single pair of
+densities, are test helpers in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -336,23 +338,6 @@ def default_sweep_config(**overrides) -> SweepConfig:
     return replace(base, **overrides) if overrides else base
 
 
-def reduced_mc_config(
-    seed: int = 0, mc_samples: int = 10**6, sabotage: str = "none", nu: float = 1e-2
-) -> SweepConfig:
-    """A 32-cell grid sized for Monte Carlo sweeps.
-
-    Eight amplitudes (moduli 1 and 3, four phases each) against four
-    specs (eta_d 0.7 and 0.9, both kinds) at a single noise product.
-    """
-    return SweepConfig(
-        alphas=default_alpha_grid(amplitudes=(1.0, 3.0), n_phases=4),
-        specs=default_spec_grid(eta_ds=(0.7, 0.9), nus=(nu,)),
-        mc_samples=mc_samples,
-        seed=seed,
-        sabotage=sabotage,
-    )
-
-
 def _specs(config: SweepConfig):
     """Each spec's model (spec, noisy, lossy, r_used), the densities at unit amplitude.
 
@@ -469,11 +454,6 @@ def _tv_rows(m1: np.ndarray, v1: float, m2: np.ndarray, v2: float) -> np.ndarray
         ]
     tv[rows] = np.where(gained > 0.0, np.minimum(gained, 1.0), 0.0)
     return tv
-
-
-def _tv_distance(d1: OutcomeDensity, d2: OutcomeDensity) -> float:
-    """Exact total variation between two outcome densities: one row of _tv_rows."""
-    return float(_tv_rows(d1.mean[None], d1.variance, d2.mean[None], d2.variance)[0])
 
 
 # Up to this many draws per sample KS p-values are exact (the tail of D_{n,n},

@@ -11,11 +11,11 @@ reconciliation against collective attacks.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import asdict, dataclass, field, fields
 from json.encoder import encode_basestring_ascii
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -108,16 +108,18 @@ def reference_rate(
         raise ValueError("xi_eff must be finite and non-negative")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    homodyne = kind == HOMODYNE
     v_mod = params.modulation_variance
     v = v_mod + 1.0
 
-    if kind == HOMODYNE:
+    if homodyne:
         mutual_information = 0.5 * math.log2(1.0 + t * v_mod / (1.0 + xi))
     else:
         mutual_information = math.log2(1.0 + t * v_mod / (2.0 + xi))
 
     # Two-mode covariance of the equivalent entangled state:
-    # diag blocks a I, b I and off-diagonal c sigma_z.
+    # diag blocks a I, b I and off-diagonal c sigma_z.  Each floor
+    # "y if x < y else x" below is max(x, y), NaN included, without the call.
     a = v
     b = t * v_mod + 1.0 + xi
     c_sq = t * (v * v - 1.0)
@@ -131,32 +133,41 @@ def reference_rate(
         # it cannot overflow.
         sqrt_det = math.sqrt(v) * math.sqrt(1.0 - t + xi + t / v)
         half_gap = abs(gap) / 2.0
-        nu1 = max(half_gap + math.hypot(half_gap, sqrt_det), 1.0)
-        nu2 = max(v * ((1.0 - t + xi) / nu1) + t / nu1, 1.0)
+        nu1 = half_gap + math.hypot(half_gap, sqrt_det)
+        nu1 = 1.0 if nu1 < 1.0 else nu1
+        nu2 = v * ((1.0 - t + xi) / nu1) + t / nu1
+        nu2 = 1.0 if nu2 < 1.0 else nu2
     else:
         delta = a * a + b * b - 2.0 * c_sq
         det = a * b - c_sq
-        disc = math.sqrt(max(delta * delta - 4.0 * det * det, 0.0))
-        nu1 = math.sqrt(max((delta + disc) / 2.0, 1.0))
-        nu2 = math.sqrt(max((delta - disc) / 2.0, 1.0))
+        disc = delta * delta - 4.0 * det * det
+        disc = math.sqrt(0.0 if disc < 0.0 else disc)
+        nu1 = (delta + disc) / 2.0
+        nu1 = math.sqrt(1.0 if nu1 < 1.0 else nu1)
+        nu2 = (delta - disc) / 2.0
+        nu2 = math.sqrt(1.0 if nu2 < 1.0 else nu2)
     if b > _LARGE_NOISE:
         # a - c^2 / b cancels there too; det (sqrt_det is set above for
         # every b > _LARGE_NOISE) and (b + 1) - t (v + 1) = 2 (1 - t) + xi
         # do not.
-        if kind == HOMODYNE:
-            nu3 = max(math.sqrt(v / b) * sqrt_det, 1.0)
+        if homodyne:
+            nu3 = math.sqrt(v / b) * sqrt_det
+            nu3 = 1.0 if nu3 < 1.0 else nu3
         else:
             nu3 = 1.0 + v_mod * ((2.0 * (1.0 - t) + xi) / (b + 1.0))
-    elif kind == HOMODYNE:
-        nu3 = math.sqrt(max(a * (a - c_sq / b), 1.0))
+    elif homodyne:
+        nu3 = a * (a - c_sq / b)
+        nu3 = math.sqrt(1.0 if nu3 < 1.0 else nu3)
     else:
-        nu3 = max(a - c_sq / (b + 1.0), 1.0)
+        nu3 = a - c_sq / (b + 1.0)
+        nu3 = 1.0 if nu3 < 1.0 else nu3
     holevo = (
         _entropy_photons((nu1 - 1.0) / 2.0)
         + _entropy_photons((nu2 - 1.0) / 2.0)
         - _entropy_photons((nu3 - 1.0) / 2.0)
     )
-    return max(params.reconciliation_efficiency * mutual_information - holevo, 0.0)
+    rate = params.reconciliation_efficiency * mutual_information - holevo
+    return 0.0 if rate < 0.0 else rate
 
 
 RATE_FUNCTIONS: dict[str, Callable] = {
@@ -279,9 +290,8 @@ class ScanConfig:
             raise ValueError(f"malformed scan config: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One evaluated point of a scan."""
+class ScanRow(NamedTuple):
+    """One evaluated point of a scan: an immutable tuple of floats and strings."""
 
     loss_db: float
     scenario: str
@@ -292,7 +302,7 @@ class ScanRow:
 
 
 # One row of ScanTable.to_json_dict() as json_text puts it in the "rows" list.
-_JSON_ROW = json_object_template([f.name for f in fields(ScanRow)], "\n    ")
+_JSON_ROW = json_object_template(ScanRow._fields, "\n    ")
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +329,8 @@ class ScanTable:
             "metadata": self._metadata(),
             # A failed point's NaN rate is written as null; the status says why.
             "rows": [
-                {**vars(r), "rate": r.rate if math.isfinite(r.rate) else None} for r in self.rows
+                {**r._asdict(), "rate": r.rate if math.isfinite(r.rate) else None}
+                for r in self.rows
             ],
         }
 
@@ -329,30 +340,38 @@ class ScanTable:
         The JSON is json_text(self.to_json_dict()).  Each float is formatted
         once by repr, as json and csv both do, and shared by both texts; a
         row that is not "ok" goes through csv.writer, which quotes its status.
+        Each (scenario, status) pair is JSON-quoted once, and each text is
+        joined once.
         """
         losses = {x: repr(x) for x in self.config.loss_db}  # finite: ScanConfig checks them
+        templates = {}  # (scenario, status): _JSON_ROW with both filled in
         json_rows = []
-        csv_out = io.StringIO()
-        csv_out.write("loss_dB,scenario,t_eff,xi_eff,rate,status\n")
-        csv_writer = csv.writer(csv_out, lineterminator="\n")
-        for r in self.rows:
-            loss = losses.get(r.loss_db) or finite_reprs(r.loss_db)[0]
-            t_eff, xi_eff = finite_reprs(r.t_eff, r.xi_eff)
-            rate = repr(r.rate)
-            quoted = map(encode_basestring_ascii, (r.scenario, r.status))
-            json_rate = rate if math.isfinite(r.rate) else "null"
-            json_rows.append(_JSON_ROW % (loss, json_rate, *quoted, t_eff, xi_eff))
-            if r.status == "ok":
-                csv_out.write(f"{loss},{r.scenario},{t_eff},{xi_eff},{rate},ok\n")
+        csv_lines = ["loss_dB,scenario,t_eff,xi_eff,rate,status\n"]
+        # csv.writer appends the text of each row it writes to the same list.
+        csv_writer = csv.writer(SimpleNamespace(write=csv_lines.append), lineterminator="\n")
+        for loss_db, scenario, t_eff, xi_eff, rate, status in self.rows:
+            loss = losses.get(loss_db) or finite_reprs(loss_db)[0]
+            if not (math.isfinite(t_eff) and math.isfinite(xi_eff)):
+                finite_reprs(t_eff, xi_eff)  # raises json_text's ValueError
+            t_text, xi_text, rate_text = repr(t_eff), repr(xi_eff), repr(rate)
+            template = templates.get((scenario, status))
+            if template is None:  # keys sort as loss_db, rate, scenario, status, t_eff, xi_eff
+                quoted = [encode_basestring_ascii(x).replace("%", "%%") for x in (scenario, status)]
+                template = _JSON_ROW % ("%s", "%s", *quoted, "%s", "%s")
+                templates[scenario, status] = template
+            json_rate = rate_text if math.isfinite(rate) else "null"
+            json_rows.append(template % (loss, json_rate, t_text, xi_text))
+            if status == "ok":
+                csv_lines.append(f"{loss},{scenario},{t_text},{xi_text},{rate_text},ok\n")
             else:
-                csv_writer.writerow([loss, r.scenario, t_eff, xi_eff, rate, r.status])
+                csv_writer.writerow((loss, scenario, t_text, xi_text, rate_text, status))
         json_report = (
             '{\n  "config": ' + json_value(self.config.to_json_dict(), "\n  ")
             + ',\n  "metadata": ' + json_value(self._metadata(), "\n  ")
             + ',\n  "rows": ' + json_items(json_rows, "\n  ")
             + ',\n  "schema": "cvtrust/scan-report/1"\n}\n'
         )
-        return json_report, csv_out.getvalue()
+        return json_report, "".join(csv_lines)
 
     def to_csv_text(self) -> str:
         return self.report_texts()[1]
@@ -388,28 +407,17 @@ def run_scan(config: ScanConfig) -> ScanTable:
     channel = ChannelSpec(
         np.array([loss_db_to_transmittance(x) for x in config.loss_db]), config.xi0
     )
+    kind, params = config.rate_kind, config.rate_params
     rows = []
     for scenario in sorted(config.scenarios):
         t_effs, xi_effs = scenario_params(channel, scenario_spec[scenario], scenario)
-        points = zip(config.loss_db, t_effs.tolist(), xi_effs.tolist())
-        for loss_db, t_eff, xi_eff in points:
+        for loss_db, t_eff, xi_eff in zip(config.loss_db, t_effs.tolist(), xi_effs.tolist()):
             try:
-                rate = float(
-                    rate_fn(t_eff, xi_eff, config.rate_kind, config.rate_params)
-                )
+                rate = float(rate_fn(t_eff, xi_eff, kind, params))
                 status = "ok"
                 if not math.isfinite(rate):
                     rate, status = math.nan, "error: non-finite rate"
             except Exception as exc:  # keep scanning past bad points
                 rate, status = math.nan, f"error: {exc}"
-            rows.append(
-                ScanRow(
-                    loss_db=loss_db,
-                    scenario=scenario,
-                    t_eff=t_eff,
-                    xi_eff=xi_eff,
-                    rate=rate,
-                    status=status,
-                )
-            )
+            rows.append(ScanRow(loss_db, scenario, t_eff, xi_eff, rate, status))
     return ScanTable(rows=tuple(rows), config=config, eta_e_min=eta_e_min)

@@ -22,15 +22,11 @@ from cvtrust.detectors import (
     DetectorSpec,
     noisy_measurement_density,
 )
-from cvtrust.equivalence import (
-    analytic_sweep,
-    default_sweep_config,
-    monte_carlo_sweep,
-    reduced_mc_config,
-)
+from cvtrust.equivalence import analytic_sweep, default_sweep_config, monte_carlo_sweep
 from cvtrust.gaussian import coherent_state
 from cvtrust.keyrate import ScanConfig, reference_rate, run_scan
 from cvtrust.rescaling import NOISE_FACTOR, harmonize, rescale_plan, rescale_plan_limit
+from helpers import reduced_mc_config
 from oracles import channel_moment_oracle, gaussian_pdf, mixture_quadrature_oracle
 
 

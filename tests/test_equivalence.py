@@ -39,15 +39,14 @@ from cvtrust.equivalence import (
     SweepConfig,
     _disk_mass,
     _ks_cell,
-    _tv_distance,
     analytic_sweep,
     default_alpha_grid,
     default_spec_grid,
     default_sweep_config,
     holm_rejections,
     monte_carlo_sweep,
-    reduced_mc_config,
 )
+from helpers import _tv_distance, reduced_mc_config
 from oracles import (
     channel_moment_oracle,
     gaussian_pdf,
@@ -841,7 +840,11 @@ def record_and_sleep(density, n, seed, stream=0):
 
 equivalence.sample_outcomes = record_and_sleep
 equivalence._mc_workers = lambda n_cells: 2
-equivalence.monte_carlo_sweep(equivalence.reduced_mc_config(mc_samples=10**4))
+equivalence.monte_carlo_sweep(equivalence.SweepConfig(  # helpers.reduced_mc_config's grid
+    alphas=equivalence.default_alpha_grid((1.0, 3.0), 4),
+    specs=equivalence.default_spec_grid((0.7, 0.9), (1e-2,)),
+    mc_samples=10**4,
+))
 """
 
 

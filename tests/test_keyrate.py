@@ -1,7 +1,10 @@
 import csv
 import decimal
+import hashlib
 import io
 import math
+import platform
+import random
 import sys
 from dataclasses import replace
 
@@ -14,6 +17,7 @@ from cvtrust.channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, s
 from cvtrust.detectors import HETERODYNE, HOMODYNE, DetectorSpec
 from cvtrust.jsontext import json_text
 from cvtrust.keyrate import (
+    _NEAR_SYMMETRIC,
     PROTOCOLS,
     RATE_FUNCTIONS,
     RateParams,
@@ -167,6 +171,52 @@ def _rate_by_decimal(t, xi, kind, v_mod):
 def test_reference_rate_matches_a_high_precision_evaluation(t, xi, v_mod, tol, kind):
     rate = reference_rate(t, xi, kind, RateParams(modulation_variance=v_mod))
     assert rate == pytest.approx(_rate_by_decimal(t, xi, kind, v_mod), rel=0, abs=tol)
+
+
+def _frozen_rate_points():
+    """(t, xi, kind, V_A) points the scan digests do not reach."""
+    points = []
+    for kind in (HOMODYNE, HETERODYNE):
+        for v_mod in (0.25, 1.0, 4.0, 17.5, 1e3):
+            for t, xi in ((1.0, 0.0), (1.0, 0.02), (0.3, 0.0), (0.5, 0.05), (1e-3, 1e-4)):
+                points.append((t, xi, kind, v_mod))
+        # b = t V_A + 1 + xi on either side of _LARGE_NOISE: 0.5 * 4 + 1 + 97 is 100 exactly.
+        xi = 97.0
+        for _ in range(4):
+            xi = math.nextafter(xi, 0.0)
+        for _ in range(9):
+            points.append((0.5, xi, kind, 4.0))
+            xi = math.nextafter(xi, math.inf)
+        # |gap| = |xi - (1 - t) V_A| on either side of _NEAR_SYMMETRIC * a, a = V_A + 1.
+        for t, xi in ((1.0, 5e-4), (0.75, 1.0 + 5e-4), (0.75, 1.0 - 5e-4)):
+            for _ in range(4):
+                xi = math.nextafter(xi, 0.0)
+            for _ in range(9):
+                points.append((t, xi, kind, 4.0))
+                xi = math.nextafter(xi, math.inf)
+    rng = random.Random(20231)
+    for _ in range(400):
+        t = 10.0 ** rng.uniform(-2.0, 0.0)
+        xi = 10.0 ** rng.uniform(-14.0, -1.0)
+        points.append((t, xi, rng.choice((HOMODYNE, HETERODYNE)), 10.0 ** rng.uniform(-1.0, 3.0)))
+    return points
+
+
+# SHA-256 of the joined .hex() of reference_rate at _frozen_rate_points(),
+# recorded with CPython 3.11.7 on x86_64 Linux.
+FROZEN_RATE_DIGEST = "8b9c872a0146dcf262dd0dbfba36204f7c932b699b95f59c93b42f95bb1cadaf"
+
+
+def test_reference_rate_bits_are_frozen_off_the_scan_grids():
+    rates = [
+        reference_rate(t, xi, kind, RateParams(modulation_variance=v_mod)).hex()
+        for t, xi, kind, v_mod in _frozen_rate_points()
+    ]
+    digest = hashlib.sha256(",".join(rates).encode()).hexdigest()
+    assert digest == FROZEN_RATE_DIGEST, (
+        f"reference_rate bits changed (recorded with CPython 3.11.7 on x86_64 Linux; running "
+        f"{platform.python_implementation()} {platform.python_version()} on {platform.platform()})"
+    )
 
 
 _EXCESS_NOISE = st.one_of(st.just(0.0), st.floats(-300, 300).map(lambda e: 10.0**e))
@@ -386,11 +436,38 @@ def test_one_pass_reports_equal_the_json_writer_and_csv_writer_forms():
         assert csv_report == t.to_csv_text() == _csv_writer_text(t)
 
 
+def test_run_scan_calls_the_rate_function_once_per_row_in_row_order(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ArithmeticError("100% off")
+        return math.inf if len(calls) == 5 else 0.25 * args[0]
+
+    monkeypatch.setitem(RATE_FUNCTIONS, "test-recording", recording)
+    config = het_scan_config(rate_name="test-recording")
+    table = run_scan(config)
+    keys = [(r.scenario, r.loss_db) for r in table.rows]
+    assert keys == [(s, x) for s in sorted(SCENARIOS) for x in config.loss_db]
+    assert len(calls) == len(table.rows) == 9
+    for (t_eff, xi_eff, kind, params), row in zip(calls, table.rows):
+        assert (t_eff, xi_eff) == (row.t_eff, row.xi_eff)
+        assert kind == HETERODYNE and params is config.rate_params
+    statuses = [r.status for r in table.rows]
+    assert statuses == ["ok", "error: 100% off", "ok", "ok", "error: non-finite rate"] + ["ok"] * 4
+    for row in table.rows:
+        assert math.isnan(row.rate) if row.status != "ok" else row.rate == 0.25 * row.t_eff
+    json_report, csv_report = table.report_texts()
+    assert json_report == json_text(table.to_json_dict())
+    assert csv_report == _csv_writer_text(table)
+
+
 @pytest.mark.parametrize("field", ["loss_db", "t_eff", "xi_eff"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_one_pass_reports_refuse_non_finite_values_as_json_text_does(field, value):
     table = run_scan(het_scan_config(loss_db=(0.0, 10.0)))
-    table = replace(table, rows=(replace(table.rows[0], **{field: value}), *table.rows[1:]))
+    table = replace(table, rows=(table.rows[0]._replace(**{field: value}), *table.rows[1:]))
     with pytest.raises(ValueError, match="not JSON compliant"):
         json_text(table.to_json_dict())
     with pytest.raises(ValueError, match="not JSON compliant"):
