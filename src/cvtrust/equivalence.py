@@ -51,11 +51,11 @@ from .rescaling import rescale_plan
 SABOTAGE_MODES = ("none", "skip-rescale", "scale-r")
 
 # Largest mc_samples a sweep accepts.  A heterodyne Monte Carlo cell peaks at
-# about 76 bytes per draw (ru_maxrss growth of a forked child running one cell
-# at 10^6 and 2x10^6 draws; 72 live: the samples, then the KS step's merge
-# buffer and argsort or its rank counts and walk), 0.76 GB at the cap.  A sweep
-# has one cell in flight per worker process, so on two CPUs a sweep at the cap
-# peaks at about 1.5 GB.
+# about 60 bytes per draw (ru_maxrss growth of a forked child running one cell
+# at 10^6 and 2x10^6 draws; 48 live: the samples as rows, plus the row copy of
+# the second sample or the KS step's counts and arange), 0.6 GB at the cap.  A
+# sweep has one cell in flight per worker process, so on two CPUs a sweep at
+# the cap peaks at about 1.2 GB.
 MAX_MC_SAMPLES = 10**7
 
 # Largest |Re alpha| or |Im alpha| a sweep accepts.  The two models round
@@ -461,39 +461,45 @@ def _tv_rows(m1: np.ndarray, v1: float, m2: np.ndarray, v2: float) -> np.ndarray
 _KS_EXACT_MAX_N = 10_000
 
 
-def _merge_rank_statistic(xs: np.ndarray, ys: np.ndarray) -> float:
+def _ks_statistic(xs: np.ndarray, ys: np.ndarray) -> float:
     """Two-sided two-sample KS statistic of two samples of equal size n.
 
-    Each empirical CDF is counted to the end of every group of equal
-    values, which gives ks_2samp's statistic bit for bit.  Both samples
-    are sorted in the halves of one buffer, and the extremes are found on
-    the integer walk w = 2 below_x - pos over the group ends pos: ks_2samp's
-    difference below_x / n - (pos - below_x) / n is exactly w / n.  So
-    distinct walk levels are at least 1 / n apart, while rounding moves the
-    float difference by under 1e-15: its float max and min are reached only
-    where the walk has its max and min, and the float difference is
-    evaluated there.  |w| <= 2n < 2^31 keeps the walk in int32.  Samples
-    of unequal sizes raise numpy's ValueError.
+    Sorts xs and ys in place.  ks_2samp takes the extremes of F_x - F_y
+    over the pooled values, each empirical CDF counted to the end of its
+    group of equal values.  With both samples sorted, one search gives
+    c_i = #{y <= x_i}, and the integer level u_i = i - c_i gives both
+    extremes: n (F_x - F_y) is u_i + 1 at x_i, exact at the last x of a
+    group, where it is largest, and u_i just below x_i, where it is
+    smallest, or 0 past the last x.  Distinct levels are at least 1 / n
+    apart, while rounding moves the float difference count_x / n -
+    count_y / n by under 1e-15: its float max and min are reached only
+    where the level has its max and min, and the float difference is
+    evaluated there, on ks_2samp's counts.  Just below x_i the y count is
+    #{y < x_i}; it differs from c_i only where some y equals x_i, and
+    where one does at a lowest level, a left-sided search gives the
+    levels below the x.
     """
     n = len(xs)
-    values = np.concatenate((xs, ys), out=np.empty(2 * n))
-    values[:n].sort()
-    values[n:].sort()
-    from_x = np.argsort(values, kind="stable") < n
-    below_x = np.cumsum(from_x, dtype=np.int32)
-    values.sort(kind="stable")
-    ties = values[1:] == values[:-1]
-    ends = np.append(np.flatnonzero(~ties), 2 * n - 1) if ties.any() else None
-    del from_x, values, ties
-    walk = below_x * 2
-    walk -= np.arange(1, 2 * n + 1, dtype=np.int32)  # pos = 1, ..., 2n
-    if ends is not None:
-        walk = walk[ends]
-    top, bottom = (np.flatnonzero(walk == level) for level in (walk.max(), walk.min()))
-    if ends is not None:
-        top, bottom = ends[top], ends[bottom]
-    diffs = [below_x[at] / n - (at + 1 - below_x[at]) / n for at in (top, bottom)]
-    return max(float(diffs[0].max()), float(-diffs[1].min()))
+    xs.sort()
+    ys.sort()
+    level = np.searchsorted(ys, xs, side="right")
+    np.subtract(np.arange(n), level, out=level)
+    top = level.max()
+    at = np.flatnonzero(level == top)
+    d_plus = float(((at + 1) / n - (at - top) / n).max())
+    bottom = level.min()
+    if bottom >= 0:
+        return d_plus
+    at = np.flatnonzero(level == bottom)
+    # There c_i = i - bottom >= 1, and a y equal to x_i is ys[c_i - 1].
+    if (ys[at - bottom - 1] == xs[at]).any():
+        level = np.searchsorted(ys, xs, side="left")
+        np.subtract(np.arange(n), level, out=level)
+        bottom = level.min()
+        if bottom >= 0:
+            return d_plus
+        at = np.flatnonzero(level == bottom)
+    return max(d_plus, float(-(at / n - (at - bottom) / n).min()))
 
 
 def _exact_pvalue(n: int, h: int) -> float:
@@ -522,10 +528,11 @@ def _ks_cell(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
     """Largest KS statistic over a cell's components and its cell p-value.
 
     Every component pairs two samples of the same size n, the cell's draws
-    per model.  The cell p-value is the Bonferroni combination
+    per model; other sizes raise ValueError.  Each sample is sorted in
+    place.  The cell p-value is the Bonferroni combination
     min(1, k min_j p_j) over the k components, each p_j equal to
     ks_2samp's.  At fixed sizes the p-value falls as the statistic grows,
-    so only the component with the largest merge-rank statistic is tested.
+    so only the component with the largest statistic is tested.
     Up to 10^4 draws the statistic and its exact p-value are computed here,
     bit for bit as ks_2samp's exact route computes them: the statistic is
     rounded to a multiple h / n, and a series result outside [0, 1] falls
@@ -536,7 +543,9 @@ def _ks_cell(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
     from .kstail import kstwo_sf
 
     n = len(pairs[0][0])
-    stat = max(_merge_rank_statistic(xs, ys) for xs, ys in pairs)
+    if any(len(xs) != n or len(ys) != n for xs, ys in pairs):
+        raise ValueError("KS samples must all have the same size")
+    stat = max(_ks_statistic(xs, ys) for xs, ys in pairs)
     if n <= _KS_EXACT_MAX_N:
         h = int(np.round(stat * n))
         stat = h * 1.0 / n
@@ -626,15 +635,20 @@ def _mc_cell(config: SweepConfig, indexed_cell: tuple) -> CellResult:
     lossy = OutcomeDensity(lossy.mean[0] * xy, lossy.variance)
     a = sample_outcomes(noisy, config.mc_samples, config.seed, 2 * index)
     a *= 1.0 / r_used
+    # Each model's draws as one contiguous row per component, which the KS
+    # step sorts in place: a copy of a heterodyne sample, a view of a
+    # homodyne one.  The gaps are taken first, row by row, in draw order:
+    # a.mean(axis=0) would sum in another order and move their last bits.
+    xs = np.ascontiguousarray(a.T)
+    del a
     b = sample_outcomes(lossy, config.mc_samples, config.seed, 2 * index + 1)
-    # One column view per component: a.mean(axis=0) would sum in another
-    # order and move the last bits of the gaps.
-    xs, ys = list(a.T), list(b.T)
-    stat, pvalue = _ks_cell(list(zip(xs, ys)))
+    ys = np.ascontiguousarray(b.T)
+    del b
     mean_gap = float(_relative_gap([np.mean(x) for x in xs], [np.mean(y) for y in ys], floor=1.0))
     var_gap = float(
         _relative_gap([np.var(x, ddof=1) for x in xs], [np.var(y, ddof=1) for y in ys], floor=0.0)
     )
+    stat, pvalue = _ks_cell(list(zip(xs, ys)))
     return CellResult(alpha, spec, mean_gap, var_gap, ks_statistic=stat, ks_pvalue=pvalue)
 
 

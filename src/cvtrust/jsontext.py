@@ -64,6 +64,8 @@ def json_items(texts: list[str], indent: str) -> str:
 
 def real_number(name: str, value):
     """Return value if it is a real number; a bool (JSON true or false) is not."""
+    if type(value) is float:  # the common case, spared the numbers.Real ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return value

@@ -200,6 +200,10 @@ class ScanConfig:
             protocol's key quadrature).
         rate_name: Registry name of the rate function.
         rate_params: Auxiliary parameters passed to the rate function.
+
+    The validated config also holds transmittances, each loss as the power
+    transmittance that loss_db_to_transmittance gives.  It is derived, not
+    a field, so the config's JSON does not carry it.
     """
 
     loss_db: tuple[float, ...]
@@ -221,13 +225,16 @@ class ScanConfig:
             raise ValueError("loss grid must be strictly increasing")
         if self.loss_db[0] < 0:
             raise ValueError("losses must be non-negative dB values")
+        transmittances = []
         for loss_db in self.loss_db:
             if not math.isfinite(loss_db):
                 raise ValueError(f"losses must be finite dB values, got {loss_db!r}")
-            if loss_db_to_transmittance(loss_db) == 0.0:
+            transmittances.append(loss_db_to_transmittance(loss_db))
+            if transmittances[-1] == 0.0:
                 raise ValueError(
                     f"loss {loss_db!r} dB underflows to zero transmittance"
                 )
+        object.__setattr__(self, "transmittances", tuple(transmittances))
         if not math.isfinite(real_number("xi0", self.xi0)) or self.xi0 < 0:
             raise ValueError("xi0 must be finite and non-negative")
         if not self.detectors:
@@ -404,9 +411,7 @@ def run_scan(config: ScanConfig) -> ScanTable:
         ),
         UNTRUSTED: config.detectors[0],
     }
-    channel = ChannelSpec(
-        np.array([loss_db_to_transmittance(x) for x in config.loss_db]), config.xi0
-    )
+    channel = ChannelSpec(np.array(config.transmittances), config.xi0)
     kind, params = config.rate_kind, config.rate_params
     rows = []
     for scenario in sorted(config.scenarios):

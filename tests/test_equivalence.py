@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import io
+import json
 import math
 import os
 import signal
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.stats import ks_2samp, ncx2
 
 from cvtrust import equivalence
@@ -46,6 +48,7 @@ from cvtrust.equivalence import (
     holm_rejections,
     monte_carlo_sweep,
 )
+import kstwo_table
 from helpers import _tv_distance, reduced_mc_config
 from oracles import (
     channel_moment_oracle,
@@ -441,8 +444,8 @@ def test_merge_rank_ks_matches_scipy_in_asymptotic_regime(decimals):
     if decimals is not None:
         # ties within and across the samples
         xs, ys = np.round(xs, decimals), np.round(ys, decimals)
-    # the last pair shares two draws
-    for a, b in ((xs, ys), (ys, xs), (xs[:10_001], xs[-10_001:][::-1])):
+    # the last pair shares two draws, copied: _ks_cell sorts its samples in place
+    for a, b in ((xs, ys), (ys, xs), (xs[:10_001].copy(), xs[-10_001:][::-1].copy())):
         expected = ks_2samp(a, b)
         assert _ks_cell([(a, b)]) == (expected.statistic, expected.pvalue)
 
@@ -480,12 +483,27 @@ def test_ks_cell_at_odd_sizes_takes_the_half_even_tail_size(n):
         assert _ks_cell([(xs, ys)]) == (expected.statistic, expected.pvalue)
 
 
+@pytest.mark.parametrize("n", [1_000, 10_000, 20_001])
+def test_ks_cell_matches_ks_2samp_on_tied_integer_samples(n):
+    # Integer draws tie within each sample and across the two, so the
+    # lowest level of F_x - F_y sits just below an x that some y equals:
+    # there the statistic takes its levels from a left-sided search.  Sizes
+    # on the exact route and on the asymptotic one.
+    rng = np.random.default_rng(n)
+    for trials, p_x, p_y in ((3, 0.5, 0.5), (12, 0.5, 0.52), (60, 0.5, 0.5)):
+        xs = rng.binomial(trials, p_x, n).astype(float)
+        ys = rng.binomial(trials, p_y, n).astype(float)
+        for a, b in ((xs, ys), (ys, xs)):
+            expected = ks_2samp(a, b)
+            assert _ks_cell([(a, b)]) == (expected.statistic, expected.pvalue)
+
+
 def _ks_edge_pairs():
     rng = np.random.default_rng(13)
     xs, big = rng.standard_normal(50), rng.standard_normal(60_001)
     exact = {
         "all-equal": (np.full(50, 0.25), np.full(50, 0.25)),
-        "reversed-copy": (xs, xs[::-1]),
+        "reversed-copy": (xs, xs[::-1].copy()),
         "disjoint": (xs, xs + 100.0),
         "one-draw-each": (np.array([0.5]), np.array([-0.5])),
         "one-equal-draw-each": (np.array([0.5]), np.array([0.5])),
@@ -493,7 +511,7 @@ def _ks_edge_pairs():
     # odd sizes above the exact regime
     asymptotic = {
         "all-equal": (np.full(50_003, -1.0), np.full(50_003, -1.0)),
-        "reversed-copy": (big, big[::-1]),
+        "reversed-copy": (big, big[::-1].copy()),
         "disjoint": (big[:50_003] - 100.0, big[-50_003:]),
         "ties-across": (np.round(big[:50_003]), np.round(big[-50_003:] * 1.1 + 0.1)),
     }
@@ -602,39 +620,41 @@ def _kstwo_branch(d: float, n: int) -> str:
 
 
 def test_kstwo_sf_equals_scipy_bit_for_bit(monkeypatch):
-    from scipy import special
+    # kstail against scipy's kstwo.sf at 2,640 points: every threshold of
+    # its branches, each with its two float neighbours, and 300 log-uniform
+    # points per n.  scipy's values are frozen in kstwo_table.json, with the
+    # smirnov values that kstail asks for on its smirnov branch, whose O(n)
+    # sum would dominate the time; the threshold points are also checked
+    # against the installed scipy.
     from scipy.stats import kstwo
 
     from cvtrust import kstail
 
-    # Both sides call scipy.special.smirnov with the same (n, d) on the
-    # smirnov branch, where its O(n) sum dominates the time; each value is
-    # computed once and handed to both.
-    smirnov, computed = special.smirnov, {}
+    table = json.loads(kstwo_table.TABLE.read_text())
+    versions = (
+        f"kstwo_table.json recorded with numpy {table['numpy']}, scipy {table['scipy']}; "
+        f"running numpy {np.__version__}, scipy {scipy.__version__}"
+    )
+    points = kstwo_table.points()
+    assert [(n, d.hex()) for n, d in points] == [(n, d) for n, d, _ in table["kstwo_sf"]]
+    smirnov_values = {(n, x): v for n, x, v in table["smirnov"]}
 
-    def smirnov_once(n, x):
-        key = (n, float(x))
-        if key not in computed:
-            computed[key] = smirnov(n, x)
-        return computed[key]
+    def recorded_smirnov(n, x):
+        key = (int(n), float(x).hex())
+        assert key in smirnov_values, f"smirnov{key} is not in kstwo_table.json ({versions})"
+        return float.fromhex(smirnov_values[key])
 
-    monkeypatch.setattr(special, "smirnov", smirnov_once)
-    monkeypatch.setattr(kstail, "smirnov", smirnov_once)
-    rng = np.random.default_rng(17)
+    monkeypatch.setattr(kstail, "smirnov", recorded_smirnov)
     branches = set()
-    for n in (141, 5_001, 10**4, 99_999, 10**5, 10**5 + 1, 250_000, 5 * 10**6):
-        # at and next to every threshold (Pelz-Good's own: q underflows below
-        # z = d sqrt(n) = 0.0417), then log-uniform over [1 / 4n, 1]
-        edges = [0.5 / n, 1.0 / n, (n - 1) / n, 0.5, 1.0, (1.4 / n) ** (2 / 3),
-                 0.041743441416853426 / math.sqrt(n)]
-        edges += [math.sqrt(c / n) for c in (2.2, 18.0, 370.0)]
-        ds = [x for e in edges for x in (np.nextafter(e, 0.0), e, np.nextafter(e, 2.0))]
-        ds += np.exp(rng.uniform(math.log(0.25 / n), 0.0, 300)).tolist()
-        for d in map(float, ds):
-            want = float(np.clip(kstwo.sf(d, n), 0.0, 1.0))
-            assert kstail.kstwo_sf(d, n).hex() == want.hex(), (d, n)
-            branches.add(_kstwo_branch(d, n))
+    for (n, d), (_, _, want) in zip(points, table["kstwo_sf"]):
+        assert kstail.kstwo_sf(d, n).hex() == want, (d, n, versions)
+        branches.add(_kstwo_branch(d, n))
     assert len(branches) == 8, branches
+    sf = {(n, d): want for n, d, want in table["kstwo_sf"]}
+    for n in kstwo_table.SIZES:
+        for d in kstwo_table.threshold_points(n):
+            live = float(np.clip(kstwo.sf(d, n), 0.0, 1.0))
+            assert live.hex() == sf[n, d.hex()], (d, n, versions)
     with pytest.raises(ValueError, match="n > 140"):
         kstail.kstwo_sf(0.1, 140)
 
@@ -762,8 +782,11 @@ def test_monte_carlo_cells_equal_their_per_cell_reference(monkeypatch, sabotage)
     monkeypatch.setattr(
         equivalence, "sample_outcomes", lambda d, *args: densities.append(d) or draw(d, *args)
     )
+    # _ks_cell sorts the samples in place: record them as drawn.
     monkeypatch.setattr(
-        equivalence, "_ks_cell", lambda pairs: samples.append(pairs) or ks_cell(pairs)
+        equivalence,
+        "_ks_cell",
+        lambda pairs: samples.append([(x.copy(), y.copy()) for x, y in pairs]) or ks_cell(pairs),
     )
     _force_workers(monkeypatch, 1)
     monte_carlo_sweep(config)
@@ -803,15 +826,16 @@ child.join(timeout=60)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs fork and ru_maxrss in KiB")
-def test_a_heterodyne_cell_peaks_within_110_bytes_per_draw():
-    # The bound's basis: a cell's live data peak at 72 bytes per draw, the two
-    # (n, 2) samples (32) and, per component, the KS step's merge buffer and
-    # argsort or its rank counts and integer walk (40); this growth measured
-    # 82 bytes per draw, and 170 when the KS step held sorted copies, the
-    # merge, the argsort and the gathered values at once.  The cell runs in a
-    # child forked from a fresh interpreter, as a sweep's workers are: forked
-    # from the test process, it would reuse heap that earlier tests freed
-    # (that read 76 bytes per draw for the 170-byte KS step).
+def test_a_heterodyne_cell_peaks_within_80_bytes_per_draw():
+    # The bound's basis: a cell's live data peak at 48 bytes per draw.  The
+    # two samples hold 32 as per-component rows; the row copy of the second
+    # sample briefly adds 16, and the KS step adds 16 per component, its
+    # int64 counts and the arange they are leveled against.  This growth
+    # measured 69 bytes per draw, and 88 when the KS step merged both
+    # samples into one 2n buffer and took its argsort and rank counts.  The
+    # cell runs in a child forked from a fresh interpreter, as a sweep's
+    # workers are: forked from the test process, it would reuse heap that
+    # earlier tests freed.
     n = 4 * 10**5
     package_root = str(Path(equivalence.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -821,7 +845,7 @@ def test_a_heterodyne_cell_peaks_within_110_bytes_per_draw():
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) * 1024 / n <= 110
+    assert int(proc.stdout) * 1024 / n <= 80
 
 
 def test_monte_carlo_workers_are_one_per_usable_cpu():
