@@ -91,7 +91,8 @@ class SweepConfig:
         seed: Base RNG seed; each cell uses its own substreams.
         param_tol: Analytic pass threshold on mean and variance gaps, >= 64 eps.
         tv_tol: Analytic pass threshold on the total-variation distance
-            between the two outcome densities, computed in closed form.
+            between the two outcome densities, computed in closed form;
+            analytic_sweep refuses one below the grid's TV floor.
         ks_alpha: Family-wise level of the Holm-corrected KS tests.
         sabotage: "none" for faithful comparison, "skip-rescale" to drop
             the outcome rescale, "scale-r" to inflate r by 1 percent.
@@ -568,6 +569,23 @@ def holm_rejections(pvalues: list[float], alpha: float) -> set[int]:
     return rejected
 
 
+def _tv_floor(xy: np.ndarray, models: list) -> float:
+    """The grid's largest B_4 = erf(4 eps |m| / (2 sqrt 2 sigma)) + 1.5 sqrt(ndim) 4 eps.
+
+    B_4 bounds the TV of 4-ulp relative errors in the noisy density's mean m
+    (the erf) and variance sigma^2 (Devroye-Mehrabian-Reddad, arXiv:1810.08693).
+    |m| peaks at the largest |Re alpha| (homodyne) or |alpha| (heterodyne) of xy.
+    """
+    k_eps = 4.0 * 2.0**-52
+    reach = {1: np.abs(xy[:, 0]).max(), 2: np.hypot(xy[:, 0], xy[:, 1]).max()}
+    floor = 0.0
+    for _, noisy, _, _ in models:
+        shift = k_eps * abs(noisy.mean[0]) * reach[noisy.ndim]
+        bound = math.erf(shift / (2.0 * math.sqrt(2.0 * noisy.variance)))
+        floor = max(floor, bound + 1.5 * math.sqrt(noisy.ndim) * k_eps)
+    return floor
+
+
 def analytic_sweep(config: SweepConfig) -> EquivalenceReport:
     """Compare closed-form densities of both detector models over the grid.
 
@@ -576,11 +594,16 @@ def analytic_sweep(config: SweepConfig) -> EquivalenceReport:
     density and the (possibly sabotaged) rescaled lossy density fall
     within the configured tolerances.  The distance is exact; its
     report field keeps the name tv_estimate.  Specs run one at a time,
-    over all amplitudes as arrays.
+    over all amplitudes as arrays.  A tv_tol below the grid's TV floor,
+    the TV that rounding alone can give a faithful cell, raises ValueError.
     """
     xy = np.array([(a.real, a.imag) for a in config.alphas])
+    models = list(_specs(config))
+    floor = _tv_floor(xy, models)
+    if config.tv_tol < floor:
+        raise ValueError(f"tv_tol {config.tv_tol!r} is below the grid's TV floor {floor!r}")
     cells = []
-    for spec, noisy, lossy, r_used in _specs(config):
+    for spec, noisy, lossy, r_used in models:
         equivalent = lossy.scaled(r_used)
         noisy_means = noisy.mean[0] * xy[:, : noisy.ndim]
         lossy_means = r_used * (lossy.mean[0] * xy[:, : noisy.ndim])

@@ -73,6 +73,11 @@ class RescalePlan:
         return asdict(self)
 
 
+def _nu_of_r_squared(r_squared: float, kind: str) -> float:
+    """The noise product whose plan has this r^2: nu = (r^2 - 1) / NOISE_FACTOR[kind]."""
+    return (r_squared - 1.0) / NOISE_FACTOR[kind]
+
+
 def _plan(kind: str, eta_d: float, nbar: float | None, nu: float) -> RescalePlan:
     """The plan with r^2 = 1 + 2 nu (homodyne) or 1 + nu (heterodyne), required finite."""
     r_squared = 1.0 + NOISE_FACTOR[kind] * nu
@@ -120,10 +125,8 @@ def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
 
     With a vacuum input, a noisy homodyne detector shows per-outcome
     variance (1 + 2 nu)/4 and a noisy heterodyne detector shows
-    (1 + nu)/2 per component, so nu = (var / floor - 1) / NOISE_FACTOR:
-
-        homodyne:    nu = (4 var - 1) / 2
-        heterodyne:  nu = 2 var - 1
+    (1 + nu)/2 per component: r^2 = var / floor, so nu = (4 var - 1) / 2
+    (homodyne) or 2 var - 1 (heterodyne).
 
     Args:
         variance: Measured outcome variance (per component for
@@ -146,7 +149,7 @@ def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
         raise ValueError(
             f"vacuum-probe variance {variance} is below the {kind} floor {floor}"
         )
-    nu = (variance / floor - 1.0) / NOISE_FACTOR[kind]
+    nu = _nu_of_r_squared(variance / floor, kind)
     if not math.isfinite(nu):
         raise ValueError(
             f"vacuum-probe variance {variance} is too large: its noise product overflows"
@@ -158,30 +161,23 @@ def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
 class DetectorAdjustment:
     """How to bring one detector down to the shared reduced efficiency.
 
-    Two interchangeable remedies are provided; either alone reaches the
-    target.
+    Either remedy alone reaches eta_e_min, at every eta_d, eta_d = 1 included.
 
     Attributes:
         spec: The original detector.
         base_plan: Its rescale plan before adjustment.
         added_loss: Transmittance of an extra passive loss placed in front
-            of the detector (1.0 means no loss is needed).  Front loss
-            leaves the noise product nu unchanged and scales eta_d.
-        added_noise_nu: Increase of the noise product achieved by adding a
-            centered Gaussian of variance added_noise_nu / 2 per outcome
-            component to the raw outcomes (0.0 means no noise is needed).
-        loss_adjusted_spec: The detector seen after the added loss, or
-            None when eta_d = 1 makes the thermal photon number diverge.
-        noise_adjusted_spec: The detector equivalent to the original plus
-            added outcome noise, or None in the same limit.
+            of the detector (1.0 means none is needed); it scales eta_d and
+            leaves the noise product nu unchanged.
+        added_noise_nu: Increase of nu by a centered Gaussian of variance
+            outcome_noise_variance added to each raw outcome component (0.0
+            means none is needed); r^2 becomes eta_d / eta_e_min.
     """
 
     spec: DetectorSpec
     base_plan: RescalePlan
     added_loss: float
     added_noise_nu: float
-    loss_adjusted_spec: DetectorSpec | None
-    noise_adjusted_spec: DetectorSpec | None
 
     @property
     def outcome_noise_variance(self) -> float:
@@ -203,21 +199,15 @@ class HarmonizationResult:
     adjustments: tuple[DetectorAdjustment, ...]
 
 
-def _spec_with_noise_product(kind: str, eta_d: float, nu: float) -> DetectorSpec | None:
-    """The detector of noise product nu, or None where eta_d = 1 makes nbar diverge."""
-    if eta_d >= 1.0 and nu > 0.0:
-        return None
-    return DetectorSpec.from_noise_product(kind, eta_d, nu=nu)
-
-
 def harmonize(specs: list[DetectorSpec] | tuple[DetectorSpec, ...]) -> HarmonizationResult:
     """Equalize the reduced efficiency across a set of detectors.
 
     Detectors with eta_e above the minimum are degraded to it, never the
     other way around.  For each detector the result carries both remedies:
     an extra front loss of transmittance eta_e_min / eta_e, and an extra
-    Gaussian outcome noise raising the noise product to the value that
-    yields eta_e_min at the detector's own eta_d.
+    Gaussian outcome noise raising the noise product to the nu whose
+    r^2 = eta_d / eta_e_min.  The noise remedy needs no thermal photon
+    number, so it exists at eta_d = 1 too.
 
     Args:
         specs: One or more detectors.
@@ -232,27 +222,9 @@ def harmonize(specs: list[DetectorSpec] | tuple[DetectorSpec, ...]) -> Harmoniza
     eta_e_min = min(plan.eta_e for plan in plans)
     adjustments = []
     for spec, plan in zip(specs, plans):
-        if plan.eta_e == eta_e_min:
-            added_loss = 1.0
-            added_noise_nu = 0.0
-            loss_spec = spec
-            noise_spec = spec
-        else:
+        added_loss, added_noise_nu = 1.0, 0.0
+        if plan.eta_e != eta_e_min:
             added_loss = eta_e_min / plan.eta_e
-            target_nu = (spec.eta_d / eta_e_min - 1.0) / NOISE_FACTOR[spec.kind]
-            added_noise_nu = target_nu - plan.nu
-            loss_spec = _spec_with_noise_product(
-                spec.kind, spec.eta_d * added_loss, plan.nu
-            )
-            noise_spec = _spec_with_noise_product(spec.kind, spec.eta_d, target_nu)
-        adjustments.append(
-            DetectorAdjustment(
-                spec=spec,
-                base_plan=plan,
-                added_loss=added_loss,
-                added_noise_nu=added_noise_nu,
-                loss_adjusted_spec=loss_spec,
-                noise_adjusted_spec=noise_spec,
-            )
-        )
+            added_noise_nu = _nu_of_r_squared(spec.eta_d / eta_e_min, spec.kind) - plan.nu
+        adjustments.append(DetectorAdjustment(spec, plan, added_loss, added_noise_nu))
     return HarmonizationResult(eta_e_min=eta_e_min, adjustments=tuple(adjustments))

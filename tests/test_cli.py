@@ -21,7 +21,12 @@ from hypothesis import strategies as st
 import cvtrust
 from cvtrust.cli import _json_text, _parse_loss_grid, main
 from cvtrust.detectors import KINDS, DetectorSpec
-from cvtrust.equivalence import MAX_MC_SAMPLES, SABOTAGE_MODES, SweepConfig
+from cvtrust.equivalence import (
+    MAX_MC_SAMPLES,
+    SABOTAGE_MODES,
+    SweepConfig,
+    default_sweep_config,
+)
 from cvtrust.keyrate import PROTOCOLS, RATE_FUNCTIONS, ScanConfig
 from cvtrust.rescaling import rescale_plan
 
@@ -356,6 +361,8 @@ def test_scan_rejects_oversized_or_non_finite_loss_grids(capsys, tmp_path, loss_
         ("0:1e-300:1e-301", 11),
         # start + k step stays 1e20 for thousands of k: the loop ends anyway
         ("1e20:1e20:1", 1),
+        # round(1 / 0.6) + 1 = 3 steps, but 1.2 overshoots stop: the loop breaks
+        ("0:1:0.6", 2),
     ],
 )
 def test_loss_grid_points_stay_within_half_a_step_of_stop(loss_db, count):
@@ -978,6 +985,72 @@ def test_param_tol_below_the_floor_exits_2(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_tv_tol_below_the_floor_exits_2_naming_the_floor(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", "--tv-tol", "1e-16", "--out", "low")
+    assert code == 2 and out == ""
+    assert err == "error: tv_tol 1e-16 is below the grid's TV floor 4.87558509947521e-15\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_config_at_the_largest_amplitude_on_both_axes_passes(capsys, tmp_path):
+    # |alpha| = 1.41e6 here, but a homodyne mean is Re alpha = 1e6: the floor
+    # is 7.09e-10, below the default tv_tol of 1e-9.
+    config = default_sweep_config(alphas=(complex(1e6, 1e6),))
+    path = tmp_path / "corner.json"
+    path.write_text(json.dumps(config.to_json_dict()))
+    code, out, _ = run_cli(capsys, "verify", "--config", str(path), "--out", "corner")
+    assert code == 0
+    assert out.startswith("PASS analytic sweep: 32 cells")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("scan", "--eta-d", "0.7", "--nu", "1e-3", "--loss-db", "0:1"), "start:stop:step"),
+        (("scan", "--eta-d", "0.7", "--nu", "1e-3", "--loss-db", "5:0:1"), "must not precede"),
+        (("verify", "--amplitudes", "1,x"), "comma-separated numbers"),
+        (("calibrate", "--kind", "homodyne", "--samples", "@missing"), "cannot read samples"),
+    ]
+    + [
+        ((command, "--config", f"@{name}"), message)
+        for command in ("verify", "scan")
+        for name, message in [
+            ("missing", "cannot read config file"),
+            ("not-json", "config file is not valid JSON"),
+            ("list", "config file must contain a JSON object"),
+        ]
+    ],
+)
+def test_malformed_flags_and_unreadable_files_exit_2_with_one_error_line(
+    capsys, tmp_path, argv, message
+):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "not-json").write_text("{")
+    (inputs / "list").write_text("[1, 2]")
+    before = sorted(tmp_path.rglob("*"))
+    argv = [str(inputs / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv, "--out", "bad")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS, ids=lambda argv: argv[0])
+def test_a_write_that_fails_after_its_temp_file_exits_2_leaving_no_file(
+    capsys, tmp_path, monkeypatch, argv
+):
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    code, out, err = run_cli(capsys, *argv, "--out", "full")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path / 'full'}") and err.count("\n") == 1
+    assert "No space left on device" in err
+    assert list(tmp_path.rglob("*")) == []
+
+
 @pytest.mark.parametrize("unbuffered", ["1", None])
 def test_verify_on_a_closed_pipe_exits_141_and_keeps_its_reports(tmp_path, unbuffered):
     package_root = str(Path(cvtrust.__file__).resolve().parents[1])
@@ -985,10 +1058,10 @@ def test_verify_on_a_closed_pipe_exits_141_and_keeps_its_reports(tmp_path, unbuf
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
-    # 177 failing cells give more than one line of output, and the first
+    # 768 failing cells give more than one line of output, and the first
     # write comes only after the sweep, when the read end is long closed.
     proc = subprocess.Popen(
-        [sys.executable, "-m", "cvtrust.cli", "verify", "--tv-tol", "1e-16", "--out", "y"],
+        [sys.executable, "-m", "cvtrust.cli", "verify", "--sabotage=skip-rescale", "--out=y"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         cwd=tmp_path,
@@ -1000,7 +1073,7 @@ def test_verify_on_a_closed_pipe_exits_141_and_keeps_its_reports(tmp_path, unbuf
     assert proc.wait() == 141
     assert "Traceback" not in err and "Exception ignored" not in err
     report = json.loads((tmp_path / "y.json").read_text(), parse_constant=pytest.fail)
-    assert report["summary"]["rejections"] == 177
+    assert report["summary"]["rejections"] == 768
     assert (tmp_path / "y.csv").read_text().count("\n") == 1025
 
 

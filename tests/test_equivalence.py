@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from cvtrust.channel import ChannelSpec, scenario_params
 from cvtrust.detectors import (
     HETERODYNE,
     HOMODYNE,
+    KINDS,
     DetectorSpec,
     OutcomeDensity,
     noisy_measurement_density,
@@ -110,6 +112,37 @@ def test_faithful_sweep_passes_at_the_param_tol_floor(amplitudes):
     )
     report = analytic_sweep(config)
     assert report.passed and report.n_rejections == 0
+
+
+def _tv_floor(config):
+    xy = np.array([(a.real, a.imag) for a in config.alphas])
+    return equivalence._tv_floor(xy, list(equivalence._specs(config)))
+
+
+def test_tv_floor_reference_values():
+    assert _tv_floor(default_sweep_config()) == pytest.approx(4.876e-15, rel=1e-3)
+    at_1e6 = default_sweep_config(alphas=default_alpha_grid((1e6,)))
+    assert _tv_floor(at_1e6) == pytest.approx(7.087e-10, rel=1e-3)
+    # Re alpha sets a homodyne mean, |alpha| a heterodyne one
+    corner = default_sweep_config(alphas=(complex(1e6, 1e6),))
+    assert _tv_floor(corner) == pytest.approx(7.087e-10, rel=1e-3)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("amplitude", [0.0, 100.0, 1e3, 1e6])
+def test_faithful_sweep_passes_at_the_tv_floor(kind, amplitude):
+    config = default_sweep_config(
+        alphas=default_alpha_grid((amplitude,)), specs=default_spec_grid(kinds=(kind,))
+    )
+    floor = _tv_floor(config)
+    for tv_tol in (floor, math.nextafter(floor, math.inf)):
+        report = analytic_sweep(replace(config, tv_tol=tv_tol))
+        assert report.passed and report.n_rejections == 0
+        assert report.worst_tv <= floor / 2
+    below = math.nextafter(floor, 0.0)
+    message = f"^tv_tol {re.escape(repr(below))} is below .* floor {re.escape(repr(floor))}$"
+    with pytest.raises(ValueError, match=message):
+        analytic_sweep(replace(config, tv_tol=below))
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,24 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvtrust.detectors import HETERODYNE, HOMODYNE, DetectorSpec
+from cvtrust.detectors import (
+    HETERODYNE,
+    HOMODYNE,
+    DetectorSpec,
+    OutcomeDensity,
+    noisy_measurement_density,
+    rescaled_lossy_density,
+)
+from cvtrust.gaussian import coherent_state, loss_channel
 from cvtrust.rescaling import (
     NOISE_FACTOR,
     VACUUM_VARIANCE_FLOOR,
+    DetectorAdjustment,
     harmonize,
     noise_figure_from_vacuum_variance,
     rescale_plan,
@@ -182,15 +192,20 @@ def test_harmonize_single_detector_is_noop():
     result = harmonize([spec])
     assert result.eta_e_min == rescale_plan(spec).eta_e
     (adj,) = result.adjustments
+    assert adj.spec == spec and adj.base_plan == rescale_plan(spec)
     assert adj.added_loss == 1.0
     assert adj.added_noise_nu == 0.0
-    assert adj.loss_adjusted_spec == spec
-    assert adj.noise_adjusted_spec == spec
 
 
 def test_harmonize_requires_detectors():
     with pytest.raises(ValueError):
         harmonize([])
+
+
+def test_detector_adjustment_holds_only_the_two_remedies():
+    assert [f.name for f in fields(DetectorAdjustment)] == [
+        "spec", "base_plan", "added_loss", "added_noise_nu"
+    ]
 
 
 def test_harmonize_frozen_pair():
@@ -206,34 +221,60 @@ def test_harmonize_frozen_pair():
     assert adj_het.outcome_noise_variance == adj_het.added_noise_nu / 2
 
 
-def test_harmonize_both_remedies_reach_target():
-    specs = [
-        DetectorSpec(HOMODYNE, 0.9, nbar=0.05),
-        DetectorSpec(HETERODYNE, 0.7, nbar=0.4),
-        DetectorSpec(HOMODYNE, 0.6, nbar=1.2),
-    ]
-    result = harmonize(specs)
+# A mixed set whose least reduced efficiency is the last detector's, 0.6 / 1.96;
+# the two at eta_d = 1 are noiseless, so their nbar would diverge under any
+# added noise product.
+_MIXED = [
+    DetectorSpec(HOMODYNE, 1.0),
+    DetectorSpec(HETERODYNE, 1.0),
+    DetectorSpec(HOMODYNE, 0.9, nbar=0.05),
+    DetectorSpec(HETERODYNE, 0.7, nbar=0.4),
+    DetectorSpec(HOMODYNE, 0.6, nbar=1.2),
+]
+_ALPHAS = [0.0, 1.0 + 0.5j, -3.0 + 2.0j, 100.0j, 1e3 - 7.0j]
+
+
+def _gaps(got, want):
+    """Largest relative gaps of two outcome densities' means and variances."""
+    scale = np.maximum(np.abs(got.mean), np.abs(want.mean))
+    mean_gap = np.max(np.abs(got.mean - want.mean) / np.where(scale > 0, scale, 1.0))
+    return mean_gap, abs(got.variance - want.variance) / want.variance
+
+
+@pytest.mark.parametrize("alpha", _ALPHAS)
+def test_harmonize_remedies_reproduce_the_lossy_ideal_detector_at_eta_e_min(alpha):
+    eps = np.finfo(float).eps
+    result = harmonize(_MIXED)
+    assert result.eta_e_min == rescale_plan(_MIXED[-1]).eta_e
+    state = coherent_state(alpha)
+    misses = []
     for adj in result.adjustments:
-        assert rescale_plan(adj.loss_adjusted_spec).eta_e == pytest.approx(
-            result.eta_e_min, rel=1e-12
-        )
-        assert rescale_plan(adj.noise_adjusted_spec).eta_e == pytest.approx(
-            result.eta_e_min, rel=1e-12
-        )
-        # the loss remedy must not touch the noise product
-        assert rescale_plan(adj.loss_adjusted_spec).nu == pytest.approx(
-            adj.base_plan.nu, rel=1e-12, abs=1e-18
-        )
+        spec, eta_e_min = adj.spec, result.eta_e_min
+        # front loss: the detector now sees eta_d' = added_loss eta_d at unchanged nu
+        got = noisy_measurement_density(loss_channel(state, adj.added_loss), spec)
+        r = math.sqrt(adj.added_loss * spec.eta_d / eta_e_min)
+        want = rescaled_lossy_density(state, spec.kind, eta_e_min, r)
+        assert max(_gaps(got, want)) <= 4 * eps, (spec, "loss")
+        # outcome noise: eta_d' = eta_d, variance raised per component
+        noisy = noisy_measurement_density(state, spec)
+        r = math.sqrt(spec.eta_d / eta_e_min)
+        want = rescaled_lossy_density(state, spec.kind, eta_e_min, r)
+        got = OutcomeDensity(noisy.mean, noisy.variance + adj.outcome_noise_variance)
+        assert max(_gaps(got, want)) <= 4 * eps, (spec, "noise")
+        if adj.added_noise_nu > 0.0:
+            # control: the whole added_noise_nu as the variance misses the target
+            control = OutcomeDensity(noisy.mean, noisy.variance + adj.added_noise_nu)
+            misses.append(_gaps(control, want)[1])
+    assert len(misses) == 4 and min(misses) > 0.1
 
 
-def test_harmonize_unit_efficiency_noise_remedy_is_unavailable():
+def test_harmonize_noise_remedy_exists_at_unit_efficiency():
     perfect = DetectorSpec(HOMODYNE, 1.0)
     lossy = DetectorSpec(HOMODYNE, 0.5)
     result = harmonize([perfect, lossy])
     assert result.eta_e_min == 0.5
     adj = result.adjustments[0]
-    assert adj.noise_adjusted_spec is None
-    assert adj.loss_adjusted_spec == DetectorSpec(HOMODYNE, 0.5)
     assert adj.added_loss == 0.5
-    # the nu that would emulate the target at eta_d = 1
-    assert adj.added_noise_nu == pytest.approx(0.5, rel=1e-15)
+    # r^2 = eta_d / eta_e_min = 2 needs nu = 1/2, an outcome noise of variance 1/4
+    assert adj.added_noise_nu == 0.5
+    assert adj.outcome_noise_variance == 0.25
