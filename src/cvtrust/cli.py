@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detectors import HOMODYNE, KINDS, DetectorSpec
+from .detectors import HOMODYNE, KINDS, DetectorSpec, checked_nu
 from .equivalence import (
     SABOTAGE_MODES,
     SweepConfig,
@@ -168,7 +168,7 @@ def cmd_rescale(args: argparse.Namespace) -> int:
     if args.eta_d is None and args.nbar is None:  # the eta_d -> 1 limit form
         if (args.nu is None) == (args.two_nu is None):
             raise ValueError("the limit form needs exactly one of --nu, --two-nu")
-        nu = args.nu if args.nu is not None else args.two_nu / 2.0
+        nu = args.nu if args.two_nu is None else checked_nu(args.two_nu, "two_nu") / 2.0
         plan = rescale_plan_limit(nu, args.kind)
     else:
         spec = _detector_from_noise_flags(
@@ -366,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
         "rescale", help="print the loss-then-rescale plan for a detector"
     )
     p_rescale.add_argument("--kind", choices=KINDS, required=True)
-    p_rescale.add_argument("--eta-d", type=float, help="detector efficiency")
+    p_rescale.add_argument(
+        "--eta-d", type=float, help="detector efficiency; without it, the eta_d -> 1 limit form"
+    )
     p_rescale.add_argument("--nbar", type=float, help="thermal photon number")
     p_rescale.add_argument("--nu", type=float, help="noise product nbar(1-eta_d)")
     p_rescale.add_argument("--two-nu", type=float, help="2 nbar(1-eta_d)")

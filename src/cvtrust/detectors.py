@@ -53,7 +53,7 @@ class DetectorSpec:
         if not math.isfinite(nbar) or nbar < 0:
             raise ValueError("nbar must be a finite non-negative number")
         object.__setattr__(self, "eta_d", eta_d)
-        object.__setattr__(self, "nbar", nbar)
+        object.__setattr__(self, "nbar", nbar + 0.0)  # -0.0 is stored as 0.0
 
     @property
     def noise_product(self) -> float:
@@ -71,23 +71,37 @@ class DetectorSpec:
         """Build a spec from eta_d and the noise product nbar (1 - eta_d).
 
         Exactly one of nu = nbar (1 - eta_d) or two_nu = 2 nbar (1 - eta_d)
-        must be given.  eta_d must be strictly below 1 unless the product
-        is zero.
+        must be given, and passes checked_nu under its own name.  A nonzero
+        product needs eta_d < 1 and a finite nbar = nu / (1 - eta_d).
         """
         if (nu is None) == (two_nu is None):
             raise ValueError("exactly one of nu and two_nu must be given")
-        nu = float(two_nu) / 2.0 if two_nu is not None else float(nu)
-        if not math.isfinite(nu) or nu < 0:
-            raise ValueError("noise product must be finite and non-negative")
+        name, given = ("nu", nu) if two_nu is None else ("two_nu", two_nu)
+        nu = checked_nu(given, name) / (1.0 if two_nu is None else 2.0)
         eta_d = float(eta_d)
         if nu == 0.0:
             return cls(kind, eta_d, 0.0)
         if eta_d >= 1.0:
             raise ValueError(
-                "a nonzero noise product requires eta_d < 1; "
-                "use the limit form of the rescale plan instead"
+                f"a nonzero noise product {name} requires eta_d < 1, got eta_d = {eta_d!r}"
             )
-        return cls(kind, eta_d, nu / (1.0 - eta_d))
+        nbar = nu / (1.0 - eta_d)
+        if math.isinf(nbar):
+            raise ValueError(
+                f"noise product {name} = {float(given)!r} at eta_d = {eta_d!r} makes nbar overflow"
+            )
+        return cls(kind, eta_d, nbar)
+
+
+def checked_nu(nu: float, name: str = "nu") -> float:
+    """The noise product (or the input called name that gives it) as a finite,
+    non-negative float; -0.0 is returned as 0.0."""
+    value = float(nu)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(
+            f"noise product {name} must be a finite non-negative number, got {value!r}"
+        )
+    return value + 0.0
 
 
 @dataclass(frozen=True, eq=False)

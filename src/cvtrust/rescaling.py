@@ -23,19 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec
+from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec, checked_nu
 
 NOISE_FACTOR = {HOMODYNE: 2.0, HETERODYNE: 1.0}
 
 VACUUM_VARIANCE_FLOOR = {HOMODYNE: 0.25, HETERODYNE: 0.5}
-
-
-def _checked_nu(nu: float) -> float:
-    """The noise product nu = nbar (1 - eta_d) as a float, range-checked."""
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < 0:
-        raise ValueError("nu must be a finite non-negative number")
-    return nu
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,7 @@ def rescale_plan_limit(nu: float, kind: str) -> RescalePlan:
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    return _plan(kind, 1.0, None, _checked_nu(nu))
+    return _plan(kind, 1.0, None, checked_nu(nu))
 
 
 def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
@@ -154,7 +146,7 @@ def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
         raise ValueError(
             f"vacuum-probe variance {variance} is too large: its noise product overflows"
         )
-    return _checked_nu(max(nu, 0.0))
+    return max(nu, 0.0)
 
 
 @dataclass(frozen=True)

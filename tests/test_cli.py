@@ -93,6 +93,9 @@ def test_rescale_flag_conflicts(capsys):
         ("--eta-d", "1.5", "--nu", "1e-3"),
         ("--eta-d", "0.7", "--two-nu=-2e-3"),
         ("--eta-d", "0.7", "--nbar", "nan"),
+        ("--eta-d", "0.7", "--nu", "1e308"),
+        ("--eta-d", "0.7", "--two-nu", "1.5e308"),
+        ("--eta-d", "1", "--nu", "0.1"),
     ],
 )
 def test_rescale_and_scan_give_the_same_error_for_the_same_detector_flags(
@@ -450,8 +453,20 @@ def test_inputs_that_would_reach_a_report_as_nan_or_infinity_exit_2(capsys, tmp_
             ),
             "scenarios",
         ),
+        # nbar = nu / (1 - eta_d) overflows: the fault is the noise product given.
+        (("rescale", "--kind", "homodyne", "--eta-d", "0.7", "--nu", "1e308"), "nu = 1e+308"),
+        (("scan", "--eta-d", "0.7", "--nu", "1e308", "--out", "bad"), "nu = 1e+308"),
+        (("verify", "--eta-d", "0.7", "--nu", "1e308", "--out", "bad"), "nu = 1e+308"),
+        (("scan", "--eta-d", "1", "--nu", "0.1", "--out", "bad"), "eta_d = 1.0"),
+        (("verify", "--eta-d", "1", "--nu", "0.1", "--out", "bad"), "eta_d = 1.0"),
+        (("rescale", "--kind", "homodyne", "--two-nu=-2"), "noise product two_nu must"),
     ],
-    ids=["rescale-limit-nbar", "verify-amplitude-1e7", "verify-mc-amplitude-1e300", "scan-duplicate-scenario"],
+    ids=[
+        "rescale-limit-nbar", "verify-amplitude-1e7", "verify-mc-amplitude-1e300",
+        "scan-duplicate-scenario", "rescale-nbar-overflow", "scan-nbar-overflow",
+        "verify-nbar-overflow", "scan-unit-efficiency", "verify-unit-efficiency",
+        "rescale-limit-negative-two-nu",
+    ],
 )
 def test_inputs_the_reduction_cannot_honour_exit_2_naming_the_flag_or_key(
     capsys, tmp_path, argv, key
@@ -462,6 +477,44 @@ def test_inputs_the_reduction_cannot_honour_exit_2_naming_the_flag_or_key(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_noise_product_fault_reads_the_same_in_every_command(capsys, tmp_path):
+    # One rule for nu, with or without --eta-d; only rescale has a limit form,
+    # and its --help names it, so no error points to it.
+    errors = set()
+    for argv in (
+        ("rescale", "--kind", "homodyne", "--nu", "-1"),
+        ("rescale", "--kind", "homodyne", "--eta-d", "0.7", "--nu", "-1"),
+        ("scan", "--eta-d", "0.7", "--nu", "-1", "--out", "bad"),
+        ("verify", "--eta-d", "0.7", "--nu", "-1", "--out", "bad"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        errors.add(err)
+    assert errors == {"error: noise product nu must be a finite non-negative number, got -1.0\n"}
+    for command in ("scan", "verify"):
+        err = run_cli(capsys, command, "--eta-d", "1", "--nu", "0.1", "--out", "bad")[2]
+        assert "limit form" not in err
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run_cli(capsys, "rescale", "--help")
+    assert code == 0 and "limit form" in " ".join(out.split())  # help text is wrapped
+
+
+@pytest.mark.parametrize(
+    "negative_zero, zero",
+    [
+        (("--eta-d", "0.7", "--nbar", "-0.0"), ("--eta-d", "0.7", "--nbar", "0")),
+        (("--eta-d", "0.7", "--two-nu", "-0.0"), ("--eta-d", "0.7", "--two-nu", "0")),
+        (("--nu", "-0.0"), ("--nu", "0")),
+        (("--two-nu", "-0.0"), ("--two-nu", "0")),
+    ],
+)
+def test_rescale_writes_a_negative_zero_noise_input_as_zero(capsys, negative_zero, zero):
+    code, out, _ = run_cli(capsys, "rescale", "--kind", "homodyne", *negative_zero)
+    assert code == 0
+    assert out == run_cli(capsys, "rescale", "--kind", "homodyne", *zero)[1]
+    assert "-0.0" not in out
 
 
 def test_verify_accepts_the_largest_amplitude_at_every_phase(capsys, tmp_path):
@@ -538,6 +591,9 @@ _SCAN_BASE = {
         ("verify", '"specs": [[]]', ()),
         ("scan", '"epsilon_sec": 1e-10', ()),
         ("scan", '"pulse_count": 1e12', ()),
+        ("scan", '"schema": "cvtrust/scan-config/2"', ()),
+        ("scan", '"detectors": [{"kind": "heterodyne", "eta_d": 0.7, "colour": 1}]', ()),
+        ("scan", '"detectors": [{"kind": "heterodyne"}]', ()),
     ],
 )
 def test_malformed_config_values_exit_2(capsys, tmp_path, command, value, flags):

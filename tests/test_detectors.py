@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from cvtrust.detectors import (
     HOMODYNE,
     DetectorSpec,
     OutcomeDensity,
+    checked_nu,
     ideal_density,
     noisy_measurement_density,
     rescaled_lossy_density,
@@ -51,11 +54,32 @@ def test_from_noise_product_argument_rules():
         DetectorSpec.from_noise_product(HOMODYNE, 0.7)
     with pytest.raises(ValueError):
         DetectorSpec.from_noise_product(HOMODYNE, 0.7, nu=1e-3, two_nu=2e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires eta_d < 1, got eta_d = 1.0$"):
         DetectorSpec.from_noise_product(HOMODYNE, 1.0, nu=1e-3)
+    # Each input is checked, and named, as given.
+    for name, value in (("nu", -1.0), ("two_nu", -2.0), ("two_nu", math.inf)):
+        with pytest.raises(ValueError, match=f"noise product {name} must be .*, got {value!r}"):
+            DetectorSpec.from_noise_product(HOMODYNE, 0.7, **{name: value})
+    # nbar = nu / (1 - eta_d) is refused where it overflows, not passed on as infinity.
+    with pytest.raises(ValueError, match=r"nu = 1e\+308 at eta_d = 0.7 makes nbar overflow"):
+        DetectorSpec.from_noise_product(HOMODYNE, 0.7, nu=1e308)
+    with pytest.raises(ValueError, match=r"two_nu = 1.5e\+308 at eta_d = 0.7 makes nbar overflow"):
+        DetectorSpec.from_noise_product(HOMODYNE, 0.7, two_nu=1.5e308)
+    assert DetectorSpec.from_noise_product(HOMODYNE, 0.5, nu=8e307).nbar == 1.6e308
     # zero noise at unit efficiency is fine
     spec = DetectorSpec.from_noise_product(HOMODYNE, 1.0, nu=0.0)
     assert spec.nbar == 0.0
+
+
+def test_a_negative_zero_noise_input_is_stored_as_zero():
+    specs = (
+        DetectorSpec(HOMODYNE, 0.7, nbar=-0.0),
+        DetectorSpec.from_noise_product(HOMODYNE, 0.7, nu=-0.0),
+        DetectorSpec.from_noise_product(HOMODYNE, 1.0, two_nu=-0.0),
+    )
+    for spec in specs:
+        assert spec.nbar == 0.0 and math.copysign(1.0, spec.nbar) == 1.0
+    assert math.copysign(1.0, checked_nu(-0.0)) == 1.0
 
 
 def test_ideal_homodyne_density_vacuum():
@@ -153,6 +177,12 @@ def test_rescaled_lossy_rejects_contraction():
         rescaled_lossy_density(VACUUM, HOMODYNE, 0.9, 0.99)
 
 
+@pytest.mark.parametrize("factor", [0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_scaled_rejects_a_zero_or_non_finite_factor(factor):
+    with pytest.raises(ValueError, match="scale factor must be finite and nonzero"):
+        OutcomeDensity(np.zeros(2), 1.0).scaled(factor)
+
+
 def test_density_validation():
     with pytest.raises(ValueError):
         OutcomeDensity(np.zeros(3), 1.0)
@@ -205,6 +235,12 @@ def test_noisy_density_moments_property(eta_d, nbar, re, im):
     assert np.isclose(hom.variance, (1 + 2 * nu) / 4, rtol=1e-13)
     assert np.isclose(het.variance, (1 + nu) / 2, rtol=1e-13)
     assert np.isclose(hom.mean[0], np.sqrt(eta_d) * re, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_outcomes_rejects_fewer_than_one_draw(n):
+    with pytest.raises(ValueError, match="sample count must be at least 1"):
+        sample_outcomes(OutcomeDensity(np.zeros(1), 1.0), n, seed=0)
 
 
 def test_sample_outcomes_deterministic_per_stream():

@@ -313,6 +313,14 @@ def test_one_pass_reports_equal_the_json_writer_and_csv_writer_forms(sweep, conf
     assert report.passed == (config.sabotage == "none")
 
 
+def test_a_reports_verdict_is_that_of_its_cells():
+    report = analytic_sweep(small_config())
+    assert report.passed
+    failed = replace(report, cells=(replace(report.cells[0], passed=False), *report.cells[1:]))
+    assert not failed.passed and failed.n_rejections == 1
+    assert failed.to_json_dict()["summary"]["passed"] is False
+
+
 @pytest.mark.parametrize(
     "field", ["mean_gap", "var_gap", "tv_estimate", "ks_statistic", "ks_pvalue"]
 )

@@ -65,6 +65,12 @@ def test_thermal_loss_channel_rejects_negative_nbar():
         thermal_loss_channel(coherent_state(0.0), 0.5, -0.1)
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.5, 1.5, np.nan])
+def test_thermal_loss_channel_rejects_a_transmittance_outside_0_1(eta):
+    with pytest.raises(ValueError, match="transmittance must satisfy 0 < eta <= 1"):
+        thermal_loss_channel(coherent_state(1.0), eta, 0.1)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         GaussianState(np.zeros(3), 0.25)

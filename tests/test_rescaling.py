@@ -123,10 +123,11 @@ def test_limit_plan_is_continuous_limit_of_finite_plans():
 def test_limit_plan_validation():
     with pytest.raises(ValueError):
         rescale_plan_limit(1e-3, "dyne")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="noise product nu must be .*, got -0.001"):
         rescale_plan_limit(-1e-3, HOMODYNE)
     with pytest.raises(ValueError):
         rescale_plan_limit(float("nan"), HOMODYNE)
+    assert math.copysign(1.0, rescale_plan_limit(-0.0, HOMODYNE).nu) == 1.0
     with pytest.raises(ValueError, match="overflow"):  # 1 + 2 nu is infinite
         rescale_plan_limit(1e308, HOMODYNE)
     assert math.isfinite(rescale_plan_limit(1e308, HETERODYNE).r)
@@ -173,6 +174,11 @@ def test_noise_figure_rejects_a_non_finite_variance(variance):
     for kind in (HOMODYNE, HETERODYNE):
         with pytest.raises(ValueError, match="not a finite number"):
             noise_figure_from_vacuum_variance(variance, kind)
+
+
+def test_noise_figure_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="kind must be one of"):
+        noise_figure_from_vacuum_variance(0.3, "dyne")
 
 
 @settings(max_examples=100, deadline=None)
