@@ -200,6 +200,11 @@ def rescaled_lossy_density(
     return ideal_density(lossy, kind).scaled(r)
 
 
+# Draws per standard_normal call in sample_outcomes: the staging block is
+# 1 MiB for heterodyne, however many draws a sample has.
+_DRAW_BLOCK = 2**16
+
+
 def sample_outcomes(
     density: OutcomeDensity, n: int, seed: int, stream: int = 0
 ) -> np.ndarray:
@@ -207,7 +212,9 @@ def sample_outcomes(
 
     Streams with the same seed but different stream ids are statistically
     independent, and every (seed, stream) pair is reproducible across
-    runs.
+    runs.  The normals come in blocks of 2^16 draws, which give the same
+    values as one standard_normal((n, density.ndim)) call, bit for bit;
+    each block is scaled, shifted and written into the rows.
 
     Args:
         density: The outcome density to sample.
@@ -216,13 +223,20 @@ def sample_outcomes(
         stream: Stream id, giving an independent substream per id.
 
     Returns:
-        Float array of shape (n, density.ndim), one column per component.
+        Float array of shape (density.ndim, n), one contiguous row per
+        component.
     """
     n = int(n)
     if n < 1:
         raise ValueError("sample count must be at least 1")
     rng = np.random.default_rng((int(seed), int(stream)))
-    z = rng.standard_normal((n, density.ndim))
-    z *= math.sqrt(density.variance)
-    z += density.mean
-    return z
+    sd = math.sqrt(density.variance)
+    rows = np.empty((density.ndim, n))
+    block = np.empty((min(n, _DRAW_BLOCK), density.ndim))
+    for start in range(0, n, _DRAW_BLOCK):
+        z = block[: n - start]
+        rng.standard_normal(out=z)
+        z *= sd
+        z += density.mean
+        rows[:, start : start + len(z)] = z.T
+    return rows

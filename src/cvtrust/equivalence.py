@@ -51,11 +51,11 @@ from .rescaling import rescale_plan
 SABOTAGE_MODES = ("none", "skip-rescale", "scale-r")
 
 # Largest mc_samples a sweep accepts.  A heterodyne Monte Carlo cell peaks at
-# about 60 bytes per draw (ru_maxrss growth of a forked child running one cell
-# at 10^6 and 2x10^6 draws; 48 live: the samples as rows, plus the row copy of
-# the second sample or the KS step's counts and arange), 0.6 GB at the cap.  A
-# sweep has one cell in flight per worker process, so on two CPUs a sweep at
-# the cap peaks at about 1.2 GB.
+# about 43 bytes per draw (ru_maxrss growth of a forked child running one cell
+# at 10^6 and 2x10^6 draws, 45 and 42; 40 at the cap; 40 live: the samples as
+# rows plus np.var's temporary of one row), 0.4 GB at the cap.  A sweep has
+# one cell in flight per worker process, so on two CPUs a sweep at the cap
+# peaks at about 0.8 GB.
 MAX_MC_SAMPLES = 10**7
 
 # Largest |Re alpha| or |Im alpha| a sweep accepts.  The two models round
@@ -466,6 +466,27 @@ def _tv_rows(m1: np.ndarray, v1: float, m2: np.ndarray, v2: float) -> np.ndarray
 _KS_EXACT_MAX_N = 10_000
 
 
+# Draws per block of the KS step: its position and level temporaries are
+# 1 MiB each, however many draws a sample has.
+_KS_BLOCK = 2**16
+
+
+def _level_blocks(xs: np.ndarray, ys: np.ndarray, side: str):
+    """Per block of sorted xs, its positions i and levels i - #{y <= x_i}
+    (side "right") or i - #{y < x_i} (side "left") against sorted ys."""
+    for start in range(0, len(xs), _KS_BLOCK):
+        block = xs[start : start + _KS_BLOCK]
+        i = np.arange(start, start + len(block))
+        level = np.searchsorted(ys, block, side=side)
+        yield i, np.subtract(i, level, out=level)
+
+
+def _extreme(blocks: list[tuple]) -> tuple:
+    """The largest first item over blocks, and the largest second item where it is reached."""
+    top = max(block[0] for block in blocks)
+    return top, max(block[1] for block in blocks if block[0] == top)
+
+
 def _ks_statistic(xs: np.ndarray, ys: np.ndarray) -> float:
     """Two-sided two-sample KS statistic of two samples of equal size n.
 
@@ -482,29 +503,32 @@ def _ks_statistic(xs: np.ndarray, ys: np.ndarray) -> float:
     evaluated there, on ks_2samp's counts.  Just below x_i the y count is
     #{y < x_i}; it differs from c_i only where some y equals x_i, and
     where one does at a lowest level, a left-sided search gives the
-    levels below the x.
+    levels below the x.  The levels are taken block by block, and each
+    block keeps only its extremes, the largest differences there and
+    whether a y equals an x at its lowest level.
     """
     n = len(xs)
     xs.sort()
     ys.sort()
-    level = np.searchsorted(ys, xs, side="right")
-    np.subtract(np.arange(n), level, out=level)
-    top = level.max()
-    at = np.flatnonzero(level == top)
-    d_plus = float(((at + 1) / n - (at - top) / n).max())
-    bottom = level.min()
-    if bottom >= 0:
-        return d_plus
-    at = np.flatnonzero(level == bottom)
-    # There c_i = i - bottom >= 1, and a y equal to x_i is ys[c_i - 1].
-    if (ys[at - bottom - 1] == xs[at]).any():
-        level = np.searchsorted(ys, xs, side="left")
-        np.subtract(np.arange(n), level, out=level)
-        bottom = level.min()
-        if bottom >= 0:
-            return d_plus
-        at = np.flatnonzero(level == bottom)
-    return max(d_plus, float(-(at / n - (at - bottom) / n).min()))
+    tops, bottoms = [], []
+    for i, level in _level_blocks(xs, ys, "right"):
+        top, bottom = level.max(), level.min()
+        at = i[level == top]
+        tops.append((top, ((at + 1) / n - (at - top) / n).max()))
+        at = i[level == bottom]
+        # There c_i = i - bottom >= 1, and a y equal to x_i is ys[c_i - 1].
+        tied = bottom < 0 and (ys[at - bottom - 1] == xs[at]).any()
+        bottoms.append((-bottom, ((at - bottom) / n - at / n).max(), tied))
+    d_plus = float(_extreme(tops)[1])
+    depth, d_minus = _extreme(bottoms)
+    if depth > 0 and any(tied for d, _, tied in bottoms if d == depth):
+        bottoms = []
+        for i, level in _level_blocks(xs, ys, "left"):
+            bottom = level.min()
+            at = i[level == bottom]
+            bottoms.append((-bottom, ((at - bottom) / n - at / n).max()))
+        depth, d_minus = _extreme(bottoms)
+    return d_plus if depth <= 0 else max(d_plus, float(d_minus))
 
 
 def _exact_pvalue(n: int, h: int) -> float:
@@ -660,17 +684,11 @@ def _mc_cell(config: SweepConfig, indexed_cell: tuple) -> CellResult:
     xy = np.array([alpha.real, alpha.imag])[: noisy.ndim]
     noisy = OutcomeDensity(noisy.mean[0] * xy, noisy.variance)
     lossy = OutcomeDensity(lossy.mean[0] * xy, lossy.variance)
-    a = sample_outcomes(noisy, config.mc_samples, config.seed, 2 * index)
-    a *= 1.0 / r_used
-    # Each model's draws as one contiguous row per component, which the KS
-    # step sorts in place: a copy of a heterodyne sample, a view of a
-    # homodyne one.  The gaps are taken first, row by row, in draw order:
-    # a.mean(axis=0) would sum in another order and move their last bits.
-    xs = np.ascontiguousarray(a.T)
-    del a
-    b = sample_outcomes(lossy, config.mc_samples, config.seed, 2 * index + 1)
-    ys = np.ascontiguousarray(b.T)
-    del b
+    # Each model's draws come as one contiguous row per component.  The KS
+    # step sorts them in place, so the gaps are taken first, in draw order.
+    xs = sample_outcomes(noisy, config.mc_samples, config.seed, 2 * index)
+    xs *= 1.0 / r_used
+    ys = sample_outcomes(lossy, config.mc_samples, config.seed, 2 * index + 1)
     mean_gap = float(_relative_gap([np.mean(x) for x in xs], [np.mean(y) for y in ys], floor=1.0))
     var_gap = float(
         _relative_gap([np.var(x, ddof=1) for x in xs], [np.var(y, ddof=1) for y in ys], floor=0.0)

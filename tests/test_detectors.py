@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvtrust import detectors
 from cvtrust.detectors import (
     HETERODYNE,
     HOMODYNE,
+    KINDS,
     DetectorSpec,
     OutcomeDensity,
     checked_nu,
@@ -256,30 +258,48 @@ def test_sample_outcomes_deterministic_per_stream():
 @pytest.mark.parametrize("n", [1, 7, 100_001])
 def test_sample_outcomes_heterodyne_equals_cholesky_draws(seed, n):
     # Scaling both normal columns by sigma is the Cholesky draw of the
-    # isotropic covariance sigma^2 I, bit for bit.
+    # isotropic covariance sigma^2 I, bit for bit; the draws come as rows.
     spec = DetectorSpec.from_noise_product(HETERODYNE, 0.7, nu=1e-2)
     density = noisy_measurement_density(coherent_state(3.0 - 1.0j), spec)
     rng = np.random.default_rng((seed, 5))
     chol = np.linalg.cholesky(density.variance * np.eye(2))
     expected = rng.standard_normal((n, 2)) @ chol.T + density.mean
     drawn = sample_outcomes(density, n, seed, stream=5)
-    assert drawn.dtype == expected.dtype and np.array_equal(drawn, expected)
+    assert drawn.dtype == expected.dtype and np.array_equal(drawn, expected.T)
+    assert drawn.flags.c_contiguous
 
 
-def test_sample_outcomes_heterodyne_is_two_real_columns():
+_BLOCK = detectors._DRAW_BLOCK
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_sample_outcomes_in_blocks_equal_one_draw(kind, n):
+    # Blocks of standard_normal draws give the values of one call, scaled
+    # and shifted as one array, bit for bit, either side of a block's end.
+    density = ideal_density(coherent_state(2.5 - 0.5j), kind)
+    z = np.random.default_rng((4, 9)).standard_normal((n, density.ndim))
+    z *= math.sqrt(density.variance)
+    z += density.mean
+    drawn = sample_outcomes(density, n, seed=4, stream=9)
+    assert drawn.shape == (density.ndim, n) and drawn.flags.c_contiguous
+    assert drawn.tobytes() == z.T.tobytes()
+
+
+def test_sample_outcomes_heterodyne_is_two_real_rows():
     density = ideal_density(coherent_state(2 - 1j), HETERODYNE)
     samples = sample_outcomes(density, 200_000, seed=11)
-    assert samples.dtype == np.float64 and samples.shape == (200_000, 2)
-    assert abs(samples[:, 0].mean() - 2.0) < 0.01
-    assert abs(samples[:, 1].mean() + 1.0) < 0.01
-    assert abs(samples[:, 0].var() - 0.5) < 0.01
-    assert abs(samples[:, 1].var() - 0.5) < 0.01
+    assert samples.dtype == np.float64 and samples.shape == (2, 200_000)
+    assert abs(samples[0].mean() - 2.0) < 0.01
+    assert abs(samples[1].mean() + 1.0) < 0.01
+    assert abs(samples[0].var() - 0.5) < 0.01
+    assert abs(samples[1].var() - 0.5) < 0.01
 
 
 def test_sample_outcomes_homodyne_moments():
     spec = DetectorSpec(HOMODYNE, 0.7, nbar=0.8)
     density = noisy_measurement_density(coherent_state(2.0), spec)
     samples = sample_outcomes(density, 400_000, seed=5)
-    assert samples.dtype == np.float64
+    assert samples.dtype == np.float64 and samples.shape == (1, 400_000)
     assert abs(samples.mean() - np.sqrt(0.7) * 2) < 0.005
     assert abs(samples.var() - 0.37) < 0.005

@@ -629,14 +629,53 @@ def test_ks_cell_single_tail_call_equals_two_call_minimum(seed, r_used):
         b = sample_outcomes(
             rescaled_lossy_density(state, HETERODYNE, plan.eta_e, 1.0), n, seed, 1
         )
-        assert a.shape == b.shape == (n, 2)
-        pairs = [(a[:, 0], b[:, 0]), (a[:, 1], b[:, 1])]
+        assert a.shape == b.shape == (2, n)
+        pairs = [(a[0], b[0]), (a[1], b[1])]
         per_component = [ks_2samp(xs, ys) for xs, ys in pairs]
         expected = (
             max(stat for stat, _ in per_component),
             min(1.0, 2 * min(p for _, p in per_component)),
         )
         assert _ks_cell(pairs) == expected
+
+
+def _blocked_ks_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two samples of size n whose KS levels swing from about -530 to 930 once per KS block.
+
+    The xs come in tied pairs, one pair across each block's end, and the
+    ys equal x values wherever the levels fall, so ties meet the lowest
+    level.  At each extreme the float difference is a last bit larger in
+    the first block than in the second.
+    """
+    block = equivalence._KS_BLOCK
+    xs = ((np.arange(n) + 1) // 2).astype(float)
+    v = np.arange(xs[-1] + 1)
+    # group v holds xs 2v - 1 and 2v, the larger of whose levels is swing
+    phase = 4 * np.pi * v / block
+    swing = np.round(700 * np.sin(phase) + 200 * (1 - np.cos(phase)))
+    ys = np.repeat(v, np.diff(2 * v - swing, prepend=0).astype(int))
+    return xs, np.concatenate([ys, np.full(n - len(ys), v[-1] + 0.5)])
+
+
+def test_ks_cell_counts_levels_across_blocks():
+    # Above two blocks, each extreme level of F_x - F_y is reached in two
+    # blocks, a tie straddles a block's end, and ys equal the xs at the
+    # lowest level, so the left-sided search runs block by block too.  The
+    # top decides one argument order, the bottom the other.
+    block = equivalence._KS_BLOCK
+    n = 2 * block + 3
+    xs, ys = _blocked_ks_pair(n)
+    assert xs[block - 1] == xs[block] and (ys == xs[block]).any()
+    for a, b in ((xs, ys), (ys, xs)):
+        sorted_a, sorted_b = np.sort(a), np.sort(b)
+        level = np.arange(n) - np.searchsorted(sorted_b, sorted_a, side="right")
+        for extreme in (level.max(), level.min()):
+            assert len(set(np.flatnonzero(level == extreme) // block)) == 2
+        bottom = level.min()
+        at = np.flatnonzero(level == bottom)
+        assert (sorted_b[at - bottom - 1] == sorted_a[at]).any()
+        expected = ks_2samp(a, b)
+        assert _ks_cell([(a.copy(), b.copy())]) == (expected.statistic, expected.pvalue)
 
 
 def _kstwo_branch(d: float, n: int) -> str:
@@ -805,6 +844,7 @@ def _mc_reference_cell(config, index, alpha, spec):
     n, seed = config.mc_samples, config.seed
     a = (1.0 / r_used) * sample_outcomes(noisy, n, seed, 2 * index)
     b = sample_outcomes(lossy, n, seed, 2 * index + 1)
+    assert a.shape == b.shape == (noisy.ndim, n)
     return (noisy, lossy), (a, b)
 
 
@@ -839,22 +879,22 @@ def test_monte_carlo_cells_equal_their_per_cell_reference(monkeypatch, sabotage)
             assert got.mean.tobytes() == want.mean.tobytes()
             assert got.variance.hex() == want.variance.hex()
         for got, want in zip(zip(*samples[index]), want_samples):
-            assert np.column_stack(got).tobytes() == want.tobytes()
+            assert np.stack(got).tobytes() == want.tobytes()
 
 
 _CELL_PEAK_PROBE = """
 import multiprocessing, resource, sys
 import scipy.special  # loaded before the fork, as monte_carlo_sweep does
 from cvtrust import equivalence
-from cvtrust.detectors import HETERODYNE, DetectorSpec
+from cvtrust.detectors import DetectorSpec
 
 def run(config, cell, queue):
     start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     equivalence._mc_cell(config, cell)
     queue.put(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start)
 
-n = int(sys.argv[1])
-spec = DetectorSpec.from_noise_product(HETERODYNE, 0.7, nu=1e-2)
+kind, n = sys.argv[1], int(sys.argv[2])
+spec = DetectorSpec.from_noise_product(kind, 0.7, nu=1e-2)
 config = equivalence.SweepConfig(alphas=(3.0,), specs=(spec,), mc_samples=n)
 cell = (0, (config.alphas[0], *next(equivalence._specs(config))))
 context = multiprocessing.get_context("fork")
@@ -866,27 +906,42 @@ child.join(timeout=60)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="needs fork and ru_maxrss in KiB")
-def test_a_heterodyne_cell_peaks_within_80_bytes_per_draw():
-    # The bound's basis: a cell's live data peak at 48 bytes per draw.  The
-    # two samples hold 32 as per-component rows; the row copy of the second
-    # sample briefly adds 16, and the KS step adds 16 per component, its
-    # int64 counts and the arange they are leveled against.  This growth
-    # measured 69 bytes per draw, and 88 when the KS step merged both
-    # samples into one 2n buffer and took its argsort and rank counts.  The
-    # cell runs in a child forked from a fresh interpreter, as a sweep's
-    # workers are: forked from the test process, it would reuse heap that
-    # earlier tests freed.
-    n = 4 * 10**5
+def _cell_peak_per_draw(kind: str, n: int) -> float:
+    """ru_maxrss growth, in bytes per draw, of one n-draw cell of the given kind.
+
+    The cell runs in a child forked from a fresh interpreter, as a sweep's
+    workers are: forked from the test process, it would reuse heap that
+    earlier tests freed.
+    """
     package_root = str(Path(equivalence.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _CELL_PEAK_PROBE, str(n)],
+        [sys.executable, "-c", _CELL_PEAK_PROBE, kind, str(n)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) * 1024 / n <= 80
+    return int(proc.stdout) * 1024 / n
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs fork and ru_maxrss in KiB")
+def test_a_heterodyne_cell_peaks_within_64_bytes_per_draw():
+    # The bound's basis: a cell's live data peak at 40 bytes per draw.  The
+    # two samples hold 32 as per-component rows, and np.var's temporary of
+    # one row adds 8; draws and KS levels are staged in blocks of 2^16.
+    # This growth measured 52 bytes per draw at 4x10^5 draws, and 69 when
+    # the rows were copied from an (n, 2) draw and the KS step took n-long
+    # counts and an arange.
+    assert _cell_peak_per_draw(HETERODYNE, 4 * 10**5) <= 64
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs fork and ru_maxrss in KiB")
+def test_a_homodyne_cell_peaks_within_42_bytes_per_draw():
+    # The bound's basis: 24 bytes per draw of live data, the two one-row
+    # samples and np.var's temporary.  This growth measured 36 bytes per
+    # draw at 4x10^5 draws, and 44 with the KS step's n-long counts and
+    # arange.
+    assert _cell_peak_per_draw(HOMODYNE, 4 * 10**5) <= 42
 
 
 def test_monte_carlo_workers_are_one_per_usable_cpu():

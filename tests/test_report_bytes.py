@@ -3,8 +3,8 @@
 A change that keeps behaviour keeps every report byte.  These runs cover
 the analytic lab (faithful, skip-rescale, and scale-r up to the largest
 amplitude), Monte Carlo sweeps on both KS routes (exact p-values at 10^4
-draws, asymptotic ones above), a homodyne-only sweep, and heterodyne and
-hybrid scans.  The digests hold for the numpy and scipy versions in
+draws, asymptotic ones above), sweeps that draw and count in more than two
+blocks, a homodyne-only sweep, and heterodyne and hybrid scans.  The digests hold for the numpy and scipy versions in
 RECORDED_WITH: other versions may round special functions or pairwise
 sums differently, which a mismatch then names.
 """
@@ -24,6 +24,12 @@ _MC_8 = (
     "verify", "--mode", "mc", "--eta-d", "0.7", "--nu", "1e-2", "--amplitudes", "1,3",
     "--phases", "2", "--seed", "3",
 )
+# 2 specs (both kinds) x 2 amplitudes, at 150,001 draws: more than two of
+# the 2^16-draw blocks that sample_outcomes and the KS step work in
+_MC_BLOCKS = (
+    "verify", "--mode", "mc", "--mc-samples", "150001", "--eta-d", "0.7", "--nu", "1e-2",
+    "--amplitudes", "3", "--phases", "2",
+)
 _SCAN = ("scan", "--eta-d", "0.7", "--nu", "1e-2", "--loss-db", "0:30:0.25", "--xi0", "0.01")
 
 RUNS = {
@@ -32,6 +38,8 @@ RUNS = {
     "verify-scale-r-1e6": (
         "verify", "--amplitudes", "0,1e-9,1e3,1e6", "--phases", "16", "--sabotage", "scale-r",
     ),
+    "mc-blocks": _MC_BLOCKS,
+    "mc-blocks-skip-rescale": (*_MC_BLOCKS, "--sabotage", "skip-rescale"),
     "mc-exact": (*_MC_8, "--mc-samples", "10000"),
     "mc-exact-skip-rescale": (*_MC_8, "--mc-samples", "10000", "--sabotage", "skip-rescale"),
     "mc-asymptotic": (*_MC_8, "--mc-samples", "20000"),
@@ -62,6 +70,16 @@ DIGESTS = {
         1,
         "b2b4767465bdfd9fa8c6f19df0d7ca95e682881d18a1c3a410b4cc8100358b3c",
         "17cf3862d344915192d30733a9fdebf06cf13a04feb479a3ff6c28f34d95c47d",
+    ),
+    "mc-blocks": (
+        0,
+        "3fa03d48792663014a054d54a9e3afab3ea99536af6d0ba085cdadf6e23f58d6",
+        "ccde8aea7a95c34afe7dc41cd8b77ea80c8e4a568732b7f3626eb202b343e30e",
+    ),
+    "mc-blocks-skip-rescale": (
+        1,
+        "8ecd98b189288f4cd2f9a6695a5738714ed8f341c83cefab9ce33b5dc44e48dc",
+        "cd871dfff09b9b1a1d0c3623def1e2b7ad47cd59523b934c95e1ade5edb79c75",
     ),
     "mc-exact": (
         0,
