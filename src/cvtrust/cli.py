@@ -31,6 +31,8 @@ import numpy as np
 
 from .detectors import HOMODYNE, KINDS, DetectorSpec, checked_nu
 from .equivalence import (
+    DEFAULT_AMPLITUDES,
+    DEFAULT_PHASES,
     SABOTAGE_MODES,
     SweepConfig,
     analytic_sweep,
@@ -49,7 +51,7 @@ from .keyrate import (
     run_scan,
 )
 from .rescaling import (
-    VACUUM_VARIANCE_FLOOR,
+    CalibrationFailed,
     noise_figure_from_vacuum_variance,
     rescale_plan,
     rescale_plan_limit,
@@ -202,11 +204,10 @@ def _sweep_config_from_args(args: argparse.Namespace) -> tuple[SweepConfig, str]
             grid_kwargs["nus"] = tuple(args.nu)
         overrides["specs"] = default_spec_grid(**grid_kwargs)
     if args.amplitudes is not None or args.phases is not None:
-        amplitudes, n_phases = default_alpha_grid.__defaults__
+        amplitudes = DEFAULT_AMPLITUDES
         if args.amplitudes is not None:
             amplitudes = _parse_float_list(args.amplitudes)
-        if args.phases is not None:
-            n_phases = args.phases
+        n_phases = DEFAULT_PHASES if args.phases is None else args.phases
         n_specs = len(overrides.get("specs", base.specs))
         if len(amplitudes) * n_phases * n_specs > MAX_GRID_POINTS:
             raise ValueError(f"--amplitudes x --phases x specs is more than {MAX_GRID_POINTS} cells")
@@ -342,9 +343,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             variance = float(np.var(data, axis=0, ddof=1).mean())
     try:
         nu = noise_figure_from_vacuum_variance(variance, args.kind)
-    except ValueError as exc:
-        if not (math.isfinite(variance) and variance < VACUUM_VARIANCE_FLOOR[args.kind]):
-            raise  # only a finite variance below the floor fails a calibration
+    except CalibrationFailed as exc:  # any other ValueError is bad input
         print(f"calibration failed: {exc}", file=sys.stderr)
         return 1
     payload = {"kind": args.kind, "variance": variance, "nu": nu}

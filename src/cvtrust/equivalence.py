@@ -44,7 +44,7 @@ from .detectors import (
 )
 from .gaussian import coherent_state
 from .jsontext import (
-    finite_reprs, json_items, json_list, json_object, json_object_template, json_text, real_number,
+    finite_reprs, json_list, json_object, json_object_template, json_report, real_number,
 )
 from .rescaling import rescale_plan
 
@@ -302,19 +302,18 @@ class EquivalenceReport:
             csv_lines.append(
                 f"{alpha_re},{alpha_im},{spec_csv},{mean_gap},{var_gap},{ks_stat_csv},{passed}\n"
             )
-        # "cells" sorts first among the report's keys.
-        json_report = (
-            '{\n  "cells": ' + json_items(json_cells, "\n  ") + ","
-            + json_text(self._json_head())[1:]
-        )
-        return json_report, "".join(csv_lines)
+        return json_report(self._json_head(), "cells", json_cells), "".join(csv_lines)
 
     def to_csv_text(self) -> str:
         return self.report_texts()[1]
 
 
+DEFAULT_AMPLITUDES = (0.0, 1.0, 3.0, 5.0)
+DEFAULT_PHASES = 8
+
+
 def default_alpha_grid(
-    amplitudes: tuple[float, ...] = (0.0, 1.0, 3.0, 5.0), n_phases: int = 8
+    amplitudes: tuple[float, ...] = DEFAULT_AMPLITUDES, n_phases: int = DEFAULT_PHASES
 ) -> tuple[complex, ...]:
     """Amplitude-by-phase grid of coherent amplitudes."""
     phases = [2.0 * math.pi * k / n_phases for k in range(n_phases)]

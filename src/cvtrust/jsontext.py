@@ -39,12 +39,17 @@ def json_object_template(keys, indent: str) -> str:
     return "{" + inner + ("," + inner).join(slots) + indent + "}"
 
 
-def json_items(texts: list[str], indent: str) -> str:
-    """The JSON list of these item texts, as json_value writes it at indent."""
-    if not texts:
-        return "[]"
-    inner = indent + "  "
-    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+def json_report(head: dict, key: str, item_texts: list[str]) -> str:
+    """json_text({**head, key: items}) from each item's text as json_value writes it
+    at indent "\n    ": the items go into json_text({**head, key: []}) at its one
+    line that starts with two spaces and the quoted key, as only top-level keys do.
+    """
+    text = json_text({**head, key: []})
+    if not item_texts:
+        return text
+    line = "\n  " + encode_basestring_ascii(key) + ": "
+    before, after = text.split(line + "[]", 1)
+    return "".join((before, line, "[\n    ", ",\n    ".join(item_texts), "\n  ]", after))
 
 
 def real_number(name: str, value):

@@ -22,7 +22,7 @@ import numpy as np
 from .channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params
 from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec
 from .jsontext import (
-    finite_reprs, json_items, json_list, json_object, json_object_template, json_value, real_number,
+    finite_reprs, json_list, json_object, json_object_template, json_report, real_number,
 )
 from .rescaling import harmonize
 
@@ -323,17 +323,17 @@ class ScanTable:
     def rates(self, scenario: str) -> list[float]:
         return [r.rate for r in self.rows if r.scenario == scenario]
 
-    def _metadata(self) -> dict:
+    def _json_head(self) -> dict:
+        """The report's JSON object without its "rows"."""
         return {
-            "eta_e_min": self.eta_e_min,
-            "rate_kind": self.config.rate_kind,
+            "schema": "cvtrust/scan-report/1",
+            "config": self.config.to_json_dict(),
+            "metadata": {"eta_e_min": self.eta_e_min, "rate_kind": self.config.rate_kind},
         }
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "cvtrust/scan-report/1",
-            "config": self.config.to_json_dict(),
-            "metadata": self._metadata(),
+            **self._json_head(),
             # A failed point's NaN rate is written as null; the status says why.
             "rows": [
                 {**r._asdict(), "rate": r.rate if math.isfinite(r.rate) else None}
@@ -372,13 +372,7 @@ class ScanTable:
                 csv_lines.append(f"{loss},{scenario},{t_text},{xi_text},{rate_text},ok\n")
             else:
                 csv_writer.writerow((loss, scenario, t_text, xi_text, rate_text, status))
-        json_report = (
-            '{\n  "config": ' + json_value(self.config.to_json_dict(), "\n  ")
-            + ',\n  "metadata": ' + json_value(self._metadata(), "\n  ")
-            + ',\n  "rows": ' + json_items(json_rows, "\n  ")
-            + ',\n  "schema": "cvtrust/scan-report/1"\n}\n'
-        )
-        return json_report, "".join(csv_lines)
+        return json_report(self._json_head(), "rows", json_rows), "".join(csv_lines)
 
     def to_csv_text(self) -> str:
         return self.report_texts()[1]

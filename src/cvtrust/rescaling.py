@@ -21,13 +21,17 @@ component for heterodyne.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec, checked_nu
 
 NOISE_FACTOR = {HOMODYNE: 2.0, HETERODYNE: 1.0}
 
 VACUUM_VARIANCE_FLOOR = {HOMODYNE: 0.25, HETERODYNE: 0.5}
+
+
+class CalibrationFailed(ValueError):
+    """A finite vacuum-probe variance below the floor: a failed calibration, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,7 @@ class RescalePlan:
         nbar: Thermal photon number of the detector being replaced, or
             None for a plan built directly in the eta_d -> 1 limit.
         nu: The noise product nbar (1 - eta_d).
-        r: Outcome rescale factor, r >= 1.
+        r: Outcome rescale factor, r >= 1; r and eta_e are derived, not given.
         eta_e: Reduced efficiency of the loss stage, eta_e = eta_d / r^2.
     """
 
@@ -48,8 +52,15 @@ class RescalePlan:
     eta_d: float
     nbar: float | None
     nu: float
-    r: float
-    eta_e: float
+    r: float = field(init=False)
+    eta_e: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        r_squared = self.r_squared
+        if not math.isfinite(r_squared):
+            raise ValueError(f"noise product nu = {self.nu} makes the {self.kind} r^2 overflow")
+        object.__setattr__(self, "r", math.sqrt(r_squared))
+        object.__setattr__(self, "eta_e", self.eta_d / r_squared)
 
     @property
     def r_squared(self) -> float:
@@ -70,14 +81,6 @@ def _nu_of_r_squared(r_squared: float, kind: str) -> float:
     return (r_squared - 1.0) / NOISE_FACTOR[kind]
 
 
-def _plan(kind: str, eta_d: float, nbar: float | None, nu: float) -> RescalePlan:
-    """The plan with r^2 = 1 + 2 nu (homodyne) or 1 + nu (heterodyne), required finite."""
-    r_squared = 1.0 + NOISE_FACTOR[kind] * nu
-    if not math.isfinite(r_squared):
-        raise ValueError(f"noise product nu = {nu} makes the {kind} r^2 overflow")
-    return RescalePlan(kind, eta_d, nbar, nu, r=math.sqrt(r_squared), eta_e=eta_d / r_squared)
-
-
 def rescale_plan(spec: DetectorSpec) -> RescalePlan:
     """Reduce a noisy detector to its equivalent rescaled lossy detector.
 
@@ -90,7 +93,7 @@ def rescale_plan(spec: DetectorSpec) -> RescalePlan:
     Raises:
         ValueError: If r^2 overflows.
     """
-    return _plan(spec.kind, spec.eta_d, spec.nbar, spec.noise_product)
+    return RescalePlan(spec.kind, spec.eta_d, spec.nbar, spec.noise_product)
 
 
 def rescale_plan_limit(nu: float, kind: str) -> RescalePlan:
@@ -109,7 +112,7 @@ def rescale_plan_limit(nu: float, kind: str) -> RescalePlan:
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    return _plan(kind, 1.0, None, checked_nu(nu))
+    return RescalePlan(kind, 1.0, None, checked_nu(nu))
 
 
 def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
@@ -126,9 +129,10 @@ def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
         kind: "homodyne" or "heterodyne".
 
     Raises:
-        ValueError: If the variance is not a finite number, is below the
-            vacuum floor (1/4 for homodyne, 1/2 for heterodyne), which no
-            physical detector of this family can produce, or is so large
+        CalibrationFailed: If the variance is below the vacuum floor (1/4
+            for homodyne, 1/2 for heterodyne), which no physical detector of
+            this family can produce.
+        ValueError: If the variance is not a finite number, or is so large
             that nu overflows.
     """
     if kind not in KINDS:
@@ -138,15 +142,13 @@ def noise_figure_from_vacuum_variance(variance: float, kind: str) -> float:
         raise ValueError(f"vacuum-probe variance {variance} is not a finite number")
     floor = VACUUM_VARIANCE_FLOOR[kind]
     if variance < floor:
-        raise ValueError(
-            f"vacuum-probe variance {variance} is below the {kind} floor {floor}"
-        )
-    nu = _nu_of_r_squared(variance / floor, kind)
+        raise CalibrationFailed(f"vacuum-probe variance {variance} is below the {kind} floor {floor}")
+    nu = _nu_of_r_squared(variance / floor, kind)  # variance / floor >= 1, so nu >= +0.0
     if not math.isfinite(nu):
         raise ValueError(
             f"vacuum-probe variance {variance} is too large: its noise product overflows"
         )
-    return max(nu, 0.0)
+    return nu
 
 
 @dataclass(frozen=True)

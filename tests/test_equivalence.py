@@ -36,6 +36,8 @@ from cvtrust.jsontext import json_text
 from cvtrust.rescaling import rescale_plan
 from cvtrust.equivalence import (
     CSV_COLUMNS,
+    DEFAULT_AMPLITUDES,
+    DEFAULT_PHASES,
     MAX_MC_SAMPLES,
     MIN_PARAM_TOL,
     SABOTAGE_MODES,
@@ -70,6 +72,8 @@ def small_config(**overrides):
 
 
 def test_default_grids_shapes():
+    assert (DEFAULT_AMPLITUDES, DEFAULT_PHASES) == ((0.0, 1.0, 3.0, 5.0), 8)
+    assert default_alpha_grid() == default_alpha_grid(DEFAULT_AMPLITUDES, DEFAULT_PHASES)
     assert len(default_alpha_grid()) == 32
     assert len(default_spec_grid()) == 32
     assert default_sweep_config().n_cells == 1024

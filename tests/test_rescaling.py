@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,9 @@ from cvtrust.gaussian import coherent_state, loss_channel
 from cvtrust.rescaling import (
     NOISE_FACTOR,
     VACUUM_VARIANCE_FLOOR,
+    CalibrationFailed,
     DetectorAdjustment,
+    RescalePlan,
     harmonize,
     noise_figure_from_vacuum_variance,
     rescale_plan,
@@ -139,6 +141,22 @@ def test_finite_plan_rejects_an_overflowing_r_squared():
     assert math.isfinite(rescale_plan(DetectorSpec(HETERODYNE, 0.1, nbar=1e308)).r)
 
 
+@pytest.mark.parametrize("name", ["r", "eta_e"])
+def test_plan_derives_r_and_eta_e_and_takes_neither(name):
+    spec = DetectorSpec(HOMODYNE, 0.9, nbar=0.5)
+    plan = RescalePlan(HOMODYNE, 0.9, 0.5, spec.noise_product)
+    assert plan == rescale_plan(spec)
+    assert [f.name for f in fields(RescalePlan) if f.init] == ["kind", "eta_d", "nbar", "nu"]
+    with pytest.raises(TypeError, match=name):
+        RescalePlan(HOMODYNE, 0.9, 0.5, spec.noise_product, **{name: 1.0})
+    with pytest.raises(ValueError, match=name):
+        replace(plan, **{name: 1.0})
+    with pytest.raises(FrozenInstanceError):
+        setattr(plan, name, 1.0)
+    with pytest.raises(ValueError, match="^noise product nu = 1e[+]308 makes the homodyne r"):
+        RescalePlan(HOMODYNE, 1.0, None, 1e308)
+
+
 def test_plan_json_dict():
     plan = rescale_plan(DetectorSpec(HETERODYNE, 0.9, nbar=0.5))
     d = plan.to_json_dict()
@@ -153,14 +171,16 @@ def test_noise_figure_from_vacuum_variance_frozen():
 
 
 def test_noise_figure_floor_is_exact():
-    assert noise_figure_from_vacuum_variance(0.25, HOMODYNE) == 0.0
-    assert noise_figure_from_vacuum_variance(0.5, HETERODYNE) == 0.0
-    with pytest.raises(ValueError):
+    for kind, floor in VACUUM_VARIANCE_FLOOR.items():
+        nu = noise_figure_from_vacuum_variance(floor, kind)
+        assert nu == 0.0 and math.copysign(1.0, nu) == 1.0
+    with pytest.raises(CalibrationFailed, match="below the homodyne floor 0.25"):
         noise_figure_from_vacuum_variance(0.2499999, HOMODYNE)
-    with pytest.raises(ValueError):
+    with pytest.raises(CalibrationFailed, match="below the heterodyne floor 0.5"):
         noise_figure_from_vacuum_variance(0.2, HETERODYNE)
-    with pytest.raises(ValueError):  # 4 var - 1 overflows to infinity
+    with pytest.raises(ValueError) as overflow:  # 4 var - 1 overflows to infinity
         noise_figure_from_vacuum_variance(1e308, HOMODYNE)
+    assert not isinstance(overflow.value, CalibrationFailed)
 
 
 def test_noise_figure_names_a_variance_whose_noise_product_overflows():
@@ -172,8 +192,9 @@ def test_noise_figure_names_a_variance_whose_noise_product_overflows():
 @pytest.mark.parametrize("variance", [math.inf, -math.inf, math.nan])
 def test_noise_figure_rejects_a_non_finite_variance(variance):
     for kind in (HOMODYNE, HETERODYNE):
-        with pytest.raises(ValueError, match="not a finite number"):
+        with pytest.raises(ValueError, match="not a finite number") as bad_input:
             noise_figure_from_vacuum_variance(variance, kind)
+        assert not isinstance(bad_input.value, CalibrationFailed)
 
 
 def test_noise_figure_rejects_an_unknown_kind():
