@@ -34,12 +34,11 @@ from .equivalence import (
     DEFAULT_AMPLITUDES,
     DEFAULT_PHASES,
     SABOTAGE_MODES,
+    SWEEPS,
     SweepConfig,
-    analytic_sweep,
     default_alpha_grid,
     default_spec_grid,
     default_sweep_config,
-    monte_carlo_sweep,
 )
 from .jsontext import json_object
 from .jsontext import json_text as _json_text
@@ -61,7 +60,7 @@ OUTPUT_DIR_ENV = "CVTRUST_OUTPUT_DIR"
 
 _OUT_HELP = "write PREFIX.json and PREFIX.csv; both are checked before the run"
 
-VERIFY_MODES = ("analytic", "mc")
+VERIFY_MODES = tuple(SWEEPS)
 
 # Largest number of points in a loss grid, and of cells in a verify grid.
 MAX_GRID_POINTS = 10**6
@@ -226,10 +225,7 @@ def _sweep_config_from_args(args: argparse.Namespace) -> tuple[SweepConfig, str]
 def cmd_verify(args: argparse.Namespace) -> int:
     json_path, csv_path = _out_paths(args.out, ".json", ".csv")
     config, mode = _sweep_config_from_args(args)
-    if mode == "mc":
-        report = monte_carlo_sweep(config)
-    else:
-        report = analytic_sweep(config)
+    report = SWEEPS[mode](config)
     json_report, csv_report = report.report_texts()
     _write_atomic(json_path, json_report)
     _write_atomic(csv_path, csv_report)

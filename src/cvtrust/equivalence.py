@@ -30,7 +30,9 @@ import numbers
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
+from itertools import product, repeat
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +50,9 @@ from .jsontext import (
 )
 from .rescaling import rescale_plan
 
-SABOTAGE_MODES = ("none", "skip-rescale", "scale-r")
+# Each sabotage mode's transform of the plan's r, the rescale the sweep uses.
+SABOTAGED_R = {"none": lambda r: r, "skip-rescale": lambda r: 1.0, "scale-r": lambda r: r * 1.01}
+SABOTAGE_MODES = tuple(SABOTAGED_R)
 
 # Largest mc_samples a sweep accepts.  A heterodyne Monte Carlo cell peaks at
 # about 43 bytes per draw (ru_maxrss growth of a forked child running one cell
@@ -67,15 +71,7 @@ MAX_AMPLITUDE = 1e6
 MIN_PARAM_TOL = 2.0**-46
 
 CSV_COLUMNS = (
-    "alpha_re",
-    "alpha_im",
-    "kind",
-    "eta_d",
-    "nbar",
-    "mean_gap",
-    "var_gap",
-    "ks_stat",
-    "pass",
+    "alpha_re", "alpha_im", "kind", "eta_d", "nbar", "mean_gap", "var_gap", "ks_stat", "pass",
 )
 
 
@@ -172,9 +168,8 @@ class SweepConfig:
             raise ValueError(f"malformed sweep config: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """Comparison outcome for one (alpha, spec) grid cell.
+class CellResult(NamedTuple):
+    """Comparison outcome for one (alpha, spec) grid cell, a row of a sweep.
 
     Analytic cells fill in tv_estimate, Monte Carlo cells the KS fields.
     """
@@ -214,7 +209,7 @@ _JSON_CELL = json_object_template(
 
 @dataclass(frozen=True, eq=False)
 class EquivalenceReport:
-    """Result of one sweep over the full grid."""
+    """Result of one sweep over the full grid; its cells lie in grid order."""
 
     mode: str
     config: SweepConfig
@@ -269,24 +264,20 @@ class EquivalenceReport:
 
         The JSON is json_text(self.to_json_dict()), the CSV what csv.writer
         writes of CSV_COLUMNS.  Each float is formatted once by repr, as json
-        and csv both do, and shared by both texts: a spec's fields once per
-        spec and an amplitude's parts once per amplitude, keyed by the object
-        that a sweep's cells share, never by value (0.0 == -0.0).
+        and csv both do, and shared by both texts.  The cells lie in grid
+        order, so a spec's fields are formatted once per spec and an
+        amplitude's parts once per amplitude, from the config, and walked in
+        step with the cells.
         """
-        specs: dict[int, tuple] = {}
-        alphas: dict[int, tuple] = {}
+        specs = []
+        for s in self.config.specs:
+            eta_d, nbar = finite_reprs(s.eta_d, s.nbar)
+            specs.append((eta_d, encode_basestring_ascii(s.kind), nbar, f"{s.kind},{eta_d},{nbar}"))
+        alphas = [finite_reprs(a.real, a.imag) for a in self.config.alphas]
         json_cells = []
         csv_lines = [",".join(CSV_COLUMNS) + "\n"]
-        for c in self.cells:
-            s, a = c.spec, c.alpha
-            if id(s) not in specs:
-                eta_d, nbar = finite_reprs(s.eta_d, s.nbar)
-                kind = encode_basestring_ascii(s.kind)
-                specs[id(s)] = (eta_d, kind, nbar, f"{s.kind},{eta_d},{nbar}")
-            if id(a) not in alphas:
-                alphas[id(a)] = finite_reprs(a.real, a.imag)
-            eta_d, kind, nbar, spec_csv = specs[id(s)]
-            alpha_re, alpha_im = alphas[id(a)]
+        grid = product(specs, alphas)
+        for c, ((eta_d, kind, nbar, spec_csv), (alpha_re, alpha_im)) in zip(self.cells, grid):
             mean_gap, var_gap, tv = finite_reprs(c.mean_gap, c.var_gap, c.tv_estimate)
             if c.ks_statistic is None:
                 ks_stat, ks_stat_csv = "null", ""
@@ -351,10 +342,9 @@ def _specs(config: SweepConfig):
     unit = coherent_state(1.0)
     for spec in config.specs:
         plan = rescale_plan(spec)
-        sabotaged = {"none": plan.r, "skip-rescale": 1.0, "scale-r": plan.r * 1.01}
         noisy = noisy_measurement_density(unit, spec)
         lossy = rescaled_lossy_density(unit, spec.kind, plan.eta_e, 1.0)
-        yield spec, noisy, lossy, sabotaged[config.sabotage]
+        yield spec, noisy, lossy, SABOTAGED_R[config.sabotage](plan.r)
 
 
 def _relative_gap(a, b, floor: float) -> np.ndarray | np.floating:
@@ -638,8 +628,8 @@ def analytic_sweep(config: SweepConfig) -> EquivalenceReport:
         var_gap = float(_relative_gap([noisy.variance], [equivalent.variance], floor=0.0))
         tvs = _tv_rows(noisy_means, noisy.variance, lossy_means, equivalent.variance)
         passed = (np.maximum(mean_gaps, var_gap) <= config.param_tol) & (tvs <= config.tv_tol)
-        rows = zip(config.alphas, mean_gaps.tolist(), tvs.tolist(), passed.tolist())
-        cells += [CellResult(a, spec, g, var_gap, tv_estimate=t, passed=p) for a, g, t, p in rows]
+        cells += map(CellResult, config.alphas, repeat(spec), mean_gaps.tolist(), repeat(var_gap),
+                     tvs.tolist(), repeat(None), repeat(None), passed.tolist())
     return EquivalenceReport("analytic", config, tuple(cells))
 
 
@@ -737,5 +727,9 @@ def monte_carlo_sweep(config: SweepConfig) -> EquivalenceReport:
         ) as pool:
             cells = list(pool.map(run_cell, todo, chunksize=chunk))
     rejected = holm_rejections([c.ks_pvalue for c in cells], config.ks_alpha)
-    cells = [replace(c, passed=False) if i in rejected else c for i, c in enumerate(cells)]
+    cells = [c._replace(passed=False) if i in rejected else c for i, c in enumerate(cells)]
     return EquivalenceReport("mc", config, tuple(cells))
+
+
+# Each verify mode's sweep.
+SWEEPS = {"analytic": analytic_sweep, "mc": monte_carlo_sweep}

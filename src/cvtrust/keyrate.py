@@ -320,9 +320,6 @@ class ScanTable:
     config: ScanConfig
     eta_e_min: float
 
-    def rates(self, scenario: str) -> list[float]:
-        return [r.rate for r in self.rows if r.scenario == scenario]
-
     def _json_head(self) -> dict:
         """The report's JSON object without its "rows"."""
         return {

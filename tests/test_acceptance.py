@@ -239,9 +239,9 @@ def test_criterion_8_scan_ordering_and_trusted_replay():
     details = []
     for config in configs:
         table = run_scan(config)
-        ideal = table.rates("ideal")
-        trusted = table.rates("trusted")
-        untrusted = table.rates("untrusted")
+        ideal, trusted, untrusted = (
+            [r.rate for r in table.rows if r.scenario == s] for s in ("ideal", "trusted", "untrusted")
+        )
         if not all(i >= t >= u for i, t, u in zip(ideal, trusted, untrusted)):
             ok = False
             details.append(f"{config.protocol}: ordering violated")

@@ -24,6 +24,7 @@ from cvtrust.detectors import KINDS, DetectorSpec
 from cvtrust.equivalence import (
     MAX_MC_SAMPLES,
     SABOTAGE_MODES,
+    SWEEPS,
     SweepConfig,
     default_sweep_config,
 )
@@ -637,6 +638,25 @@ def test_malformed_config_values_exit_2(capsys, tmp_path, command, value, flags)
 
 
 @pytest.mark.parametrize(
+    "data, detail",
+    [
+        ({**_VERIFY_BASE, "specs": [{"kind": "homodyne", "eta_d": 0.7, "colour": 1}]}, "'colour'"),
+        ({"specs": _VERIFY_BASE["specs"]}, "'alphas'"),
+    ],
+    ids=["unknown-spec-key", "no-alphas"],
+)
+def test_a_malformed_sweep_config_exits_2_naming_the_fault(capsys, tmp_path, data, detail):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--config", str(config), "--out", "bad")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed sweep config: ") and err.count("\n") == 1
+    assert err.rstrip("\n").endswith(detail)
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
     "obj, schema",
     [
         (SweepConfig(alphas=(1j,), specs=(DetectorSpec("homodyne", 0.7, 0.01),)), True),
@@ -947,7 +967,8 @@ def _refuse_to_run(*args):
 @pytest.fixture
 def refuse_the_work(monkeypatch):
     """Make the sweep, the scan and the calibration raise if they are reached."""
-    for name in ("analytic_sweep", "run_scan", "noise_figure_from_vacuum_variance"):
+    monkeypatch.setitem(SWEEPS, "analytic", _refuse_to_run)
+    for name in ("run_scan", "noise_figure_from_vacuum_variance"):
         monkeypatch.setattr(f"cvtrust.cli.{name}", _refuse_to_run)
 
 

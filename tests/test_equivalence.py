@@ -320,7 +320,7 @@ def test_one_pass_reports_equal_the_json_writer_and_csv_writer_forms(sweep, conf
 def test_a_reports_verdict_is_that_of_its_cells():
     report = analytic_sweep(small_config())
     assert report.passed
-    failed = replace(report, cells=(replace(report.cells[0], passed=False), *report.cells[1:]))
+    failed = replace(report, cells=(report.cells[0]._replace(passed=False), *report.cells[1:]))
     assert not failed.passed and failed.n_rejections == 1
     assert failed.to_json_dict()["summary"]["passed"] is False
 
@@ -331,7 +331,7 @@ def test_a_reports_verdict_is_that_of_its_cells():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_one_pass_reports_refuse_non_finite_values_as_json_text_does(field, value):
     report = analytic_sweep(small_config())
-    cells = (replace(report.cells[0], **{field: value}), *report.cells[1:])
+    cells = (report.cells[0]._replace(**{field: value}), *report.cells[1:])
     report = replace(report, cells=cells)
     with pytest.raises(ValueError, match="not JSON compliant"):
         json_text(report.to_json_dict())

@@ -342,9 +342,9 @@ def test_run_scan_frozen_hybrid_values():
 
 def test_run_scan_scenario_ordering():
     table = run_scan(het_scan_config(loss_db=tuple(float(x) for x in range(0, 41, 2))))
-    ideal = table.rates(IDEAL)
-    trusted = table.rates(TRUSTED)
-    untrusted = table.rates(UNTRUSTED)
+    ideal, trusted, untrusted = (
+        [r.rate for r in table.rows if r.scenario == s] for s in (IDEAL, TRUSTED, UNTRUSTED)
+    )
     assert len(ideal) == len(trusted) == len(untrusted) == 21
     for i, t, u in zip(ideal, trusted, untrusted):
         assert i >= t >= u
