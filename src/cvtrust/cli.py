@@ -11,13 +11,15 @@ calibration fails, 2 on usage or configuration errors and on an output
 path that cannot be written, 141 (128 + SIGPIPE) when standard output is
 closed early (reports already written are kept).  verify and scan write
 PREFIX.json and PREFIX.csv, calibrate --out the file it names; each checks
-its paths before any work and writes them atomically (temp file, then
-rename).  Relative paths are taken from CVTRUST_OUTPUT_DIR when set.
+its paths before any work.  A report goes row by row into a temp file, and
+verify and scan rename their two onto PREFIX.json and PREFIX.csv only after
+both are written.  Relative paths are taken from CVTRUST_OUTPUT_DIR when set.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -26,34 +28,19 @@ import tempfile
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .detectors import HOMODYNE, KINDS, DetectorSpec, checked_nu
 from .equivalence import (
-    DEFAULT_AMPLITUDES,
-    DEFAULT_PHASES,
-    SABOTAGE_MODES,
-    SWEEPS,
-    SweepConfig,
-    default_alpha_grid,
-    default_spec_grid,
-    default_sweep_config,
+    DEFAULT_AMPLITUDES, DEFAULT_PHASES, SABOTAGE_MODES, SWEEPS, SweepConfig, default_alpha_grid,
+    default_spec_grid, default_sweep_config,
 )
-from .jsontext import json_object
-from .jsontext import json_text as _json_text
-from .keyrate import (
-    PROTOCOLS,
-    RATE_FUNCTIONS,
-    RateParams,
-    ScanConfig,
-    run_scan,
-)
+from .jsontext import json_object, json_text as _json_text
+from .keyrate import PROTOCOLS, RATE_FUNCTIONS, ScanConfig, run_scan
 from .rescaling import (
-    CalibrationFailed,
-    noise_figure_from_vacuum_variance,
-    rescale_plan,
-    rescale_plan_limit,
+    CalibrationFailed, noise_figure_from_vacuum_variance, rescale_plan, rescale_plan_limit,
 )
 
 OUTPUT_DIR_ENV = "CVTRUST_OUTPUT_DIR"
@@ -66,23 +53,34 @@ VERIFY_MODES = tuple(SWEEPS)
 MAX_GRID_POINTS = 10**6
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write text to path by a temp file and a rename; an OSError is a ValueError."""
+def _write_atomic(paths: list[Path], fill: Callable[..., None]) -> None:
+    """fill(*handles) writes a temp file beside each path; each is then given the
+    mode open() would give (not mkstemp's 0o600) and renamed onto its path in
+    order, none before all are written.  On any error no temp file is left, and
+    an OSError becomes a ValueError naming the path it was met at."""
+    temps = {}  # path: (handle, temp file), until it is renamed
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-                umask = os.umask(0)
-                os.umask(umask)
-                os.fchmod(fh.fileno(), 0o666 & ~umask)  # as open() would, not mkstemp's 0o600
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+            temps[path] = os.fdopen(fd, "w"), tmp
+        path = paths[0]  # what fill cannot write is named by the first path
+        fill(*(fh for fh, _ in temps.values()))
+        umask = os.umask(0)
+        os.umask(umask)
+        for path, (fh, _) in temps.items():
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.close()
+        for path in paths:
+            os.replace(temps[path][1], path)
+            del temps[path]
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
+    finally:  # after an error, the temp files not yet renamed
+        for fh, tmp in temps.values():
+            with contextlib.suppress(OSError):
+                fh.close()  # its buffered text may not fit either
+            os.unlink(tmp)
 
 
 def _out_paths(value: str, *suffixes: str) -> list[Path]:
@@ -226,9 +224,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     json_path, csv_path = _out_paths(args.out, ".json", ".csv")
     config, mode = _sweep_config_from_args(args)
     report = SWEEPS[mode](config)
-    json_report, csv_report = report.report_texts()
-    _write_atomic(json_path, json_report)
-    _write_atomic(csv_path, csv_report)
+    _write_atomic([json_path, csv_path], report.write_reports)
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"{verdict} {mode} sweep: {len(report.cells)} cells, "
@@ -294,9 +290,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     json_path, csv_path = _out_paths(args.out, ".json", ".csv")
     config = _scan_config_from_args(args)
     table = run_scan(config)
-    json_report, csv_report = table.report_texts()
-    _write_atomic(json_path, json_report)
-    _write_atomic(csv_path, csv_report)
+    _write_atomic([json_path, csv_path], table.write_reports)
     print(
         f"scan: protocol={config.protocol} eta_e_min={table.eta_e_min:.12g} "
         f"points={len(config.loss_db)}"
@@ -345,7 +339,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     payload = {"kind": args.kind, "variance": variance, "nu": nu}
     text = _json_text(payload)
     if out is not None:
-        _write_atomic(out, text)
+        _write_atomic([out], lambda fh: fh.write(text))
     print(text, end="")
     return 0
 

@@ -25,6 +25,7 @@ densities, are test helpers in tests/helpers.py.
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
 import os
@@ -37,16 +38,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .detectors import (
-    KINDS,
-    DetectorSpec,
-    OutcomeDensity,
-    noisy_measurement_density,
-    rescaled_lossy_density,
+    KINDS, DetectorSpec, OutcomeDensity, noisy_measurement_density, rescaled_lossy_density,
     sample_outcomes,
 )
 from .gaussian import coherent_state
 from .jsontext import (
-    finite_reprs, json_list, json_object, json_object_template, json_report, real_number,
+    finite_reprs, json_dataclass, json_list, json_object_template, real_number, write_json_report,
 )
 from .rescaling import rescale_plan
 
@@ -157,7 +154,7 @@ class SweepConfig:
                 alphas.append(complex(*(real_number("alphas", v) for v in pair)))
             data["alphas"] = tuple(alphas)
             data["specs"] = tuple(
-                DetectorSpec(**json_object(f"specs[{i}]", s))
+                json_dataclass(DetectorSpec, f"specs[{i}]", s)
                 for i, s in enumerate(json_list("specs", data["specs"]))
             )
             unknown = set(data) - {f.name for f in fields(cls)}
@@ -259,44 +256,43 @@ class EquivalenceReport:
     def to_json_dict(self) -> dict:
         return {**self._json_head(), "cells": [c.to_json_dict() for c in self.cells]}
 
-    def report_texts(self) -> tuple[str, str]:
-        """The JSON and CSV reports, written in one pass over the cells.
+    def write_reports(self, json_fh, csv_fh) -> None:
+        """Write the JSON and CSV reports to the two handles in one pass over the cells.
 
         The JSON is json_text(self.to_json_dict()), the CSV what csv.writer
         writes of CSV_COLUMNS.  Each float is formatted once by repr, as json
-        and csv both do, and shared by both texts.  The cells lie in grid
-        order, so a spec's fields are formatted once per spec and an
-        amplitude's parts once per amplitude, from the config, and walked in
-        step with the cells.
+        and csv both do, and shared by both files, and each cell goes to both
+        handles as soon as it is formatted.  The cells lie in grid order, so a
+        spec's fields are formatted once per spec and an amplitude's parts
+        once per amplitude, from the config, and walked in step with the cells.
         """
         specs = []
         for s in self.config.specs:
             eta_d, nbar = finite_reprs(s.eta_d, s.nbar)
             specs.append((eta_d, encode_basestring_ascii(s.kind), nbar, f"{s.kind},{eta_d},{nbar}"))
         alphas = [finite_reprs(a.real, a.imag) for a in self.config.alphas]
-        json_cells = []
-        csv_lines = [",".join(CSV_COLUMNS) + "\n"]
-        grid = product(specs, alphas)
-        for c, ((eta_d, kind, nbar, spec_csv), (alpha_re, alpha_im)) in zip(self.cells, grid):
-            mean_gap, var_gap, tv = finite_reprs(c.mean_gap, c.var_gap, c.tv_estimate)
-            if c.ks_statistic is None:
-                ks_stat, ks_stat_csv = "null", ""
-            else:
-                ks_stat = ks_stat_csv = finite_reprs(c.ks_statistic)[0]
-            ks_pvalue = "null" if c.ks_pvalue is None else finite_reprs(c.ks_pvalue)[0]
-            passed = "true" if c.passed else "false"
-            json_cells.append(
-                _JSON_CELL
-                % (alpha_im, alpha_re, eta_d, kind, ks_pvalue, ks_stat, mean_gap, nbar,
-                   passed, tv, var_gap)
-            )
-            csv_lines.append(
-                f"{alpha_re},{alpha_im},{spec_csv},{mean_gap},{var_gap},{ks_stat_csv},{passed}\n"
-            )
-        return json_report(self._json_head(), "cells", json_cells), "".join(csv_lines)
+        csv_fh.write(",".join(CSV_COLUMNS) + "\n")
+
+        def json_cells():  # each cell's JSON text, its CSV line written as it is taken
+            grid = product(specs, alphas)
+            for c, ((eta_d, kind, nbar, spec_csv), (alpha_re, alpha_im)) in zip(self.cells, grid):
+                mean_gap, var_gap, tv = finite_reprs(c.mean_gap, c.var_gap, c.tv_estimate)
+                if c.ks_statistic is None:
+                    ks_stat, ks_stat_csv = "null", ""
+                else:
+                    ks_stat = ks_stat_csv = finite_reprs(c.ks_statistic)[0]
+                ks_pvalue = "null" if c.ks_pvalue is None else finite_reprs(c.ks_pvalue)[0]
+                passed = "true" if c.passed else "false"
+                csv_fh.write(f"{alpha_re},{alpha_im},{spec_csv},{mean_gap},{var_gap},"
+                             f"{ks_stat_csv},{passed}\n")
+                yield _JSON_CELL % (alpha_im, alpha_re, eta_d, kind, ks_pvalue, ks_stat, mean_gap,
+                                    nbar, passed, tv, var_gap)
+
+        write_json_report(json_fh, self._json_head(), "cells", json_cells())
 
     def to_csv_text(self) -> str:
-        return self.report_texts()[1]
+        self.write_reports(io.StringIO(), csv_fh := io.StringIO())
+        return csv_fh.getvalue()
 
 
 DEFAULT_AMPLITUDES = (0.0, 1.0, 3.0, 5.0)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Iterable
+from dataclasses import MISSING, fields
 from json.encoder import encode_basestring_ascii
 
 
@@ -39,17 +41,33 @@ def json_object_template(keys, indent: str) -> str:
     return "{" + inner + ("," + inner).join(slots) + indent + "}"
 
 
-def json_report(head: dict, key: str, item_texts: list[str]) -> str:
-    """json_text({**head, key: items}) from each item's text as json_value writes it
-    at indent "\n    ": the items go into json_text({**head, key: []}) at its one
-    line that starts with two spaces and the quoted key, as only top-level keys do.
-    """
-    text = json_text({**head, key: []})
-    if not item_texts:
-        return text
+def write_json_report(fh, head: dict, key: str, item_texts: Iterable[str]) -> None:
+    """Write json_text({**head, key: items}) to fh, each item's text (as json_value
+    writes it at indent "\n    ") as it comes, between the halves of json_text({**head,
+    key: []}) split once at its one line that starts with two spaces and the quoted
+    key, as only top-level keys do."""
     line = "\n  " + encode_basestring_ascii(key) + ": "
-    before, after = text.split(line + "[]", 1)
-    return "".join((before, line, "[\n    ", ",\n    ".join(item_texts), "\n  ]", after))
+    opening, closing = json_text({**head, key: []}).split(line + "[]", 1)
+    fh.write(opening + line)
+    sep = "[\n    "
+    for text in item_texts:
+        fh.write(sep + text)
+        sep = ",\n    "
+    fh.write(("[]" if sep == "[\n    " else "\n  ]") + closing)
+
+
+def json_dataclass(cls, name: str, value):
+    """cls(**value) for a JSON object value; a key that is not a field of cls, or a
+    field without a default that is not a key, is a TypeError naming it, as cls's own.
+    """
+    value = json_object(name, value)
+    required = {f.name: MISSING is f.default is f.default_factory for f in fields(cls)}
+    unknown = [k for k in value if k not in required]
+    missing = [k for k, needed in required.items() if needed and k not in value]
+    if unknown or missing:
+        fault = f"has unknown key {unknown[0]!r}" if unknown else f"is missing key {missing[0]!r}"
+        raise TypeError(f"{name} {fault}")
+    return cls(**value)
 
 
 def real_number(name: str, value):

@@ -11,10 +11,10 @@ reconciliation against collective attacks.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import asdict, dataclass, field, fields
 from json.encoder import encode_basestring_ascii
-from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,7 +22,8 @@ import numpy as np
 from .channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params
 from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec
 from .jsontext import (
-    finite_reprs, json_list, json_object, json_object_template, json_report, real_number,
+    finite_reprs, json_dataclass, json_list, json_object, json_object_template, real_number,
+    write_json_report,
 )
 from .rescaling import harmonize
 
@@ -281,7 +282,7 @@ class ScanConfig:
             raise ValueError(f"unsupported scan config schema {schema!r}")
         try:
             data["detectors"] = tuple(
-                DetectorSpec(**json_object(f"detectors[{i}]", d))
+                json_dataclass(DetectorSpec, f"detectors[{i}]", d)
                 for i, d in enumerate(json_list("detectors", data["detectors"]))
             )
             for name in ("loss_db", "scenarios"):
@@ -338,41 +339,43 @@ class ScanTable:
             ],
         }
 
-    def report_texts(self) -> tuple[str, str]:
-        """The JSON and CSV reports, written in one pass over the rows.
+    def write_reports(self, json_fh, csv_fh) -> None:
+        """Write the JSON and CSV reports to the two handles in one pass over the rows.
 
         The JSON is json_text(self.to_json_dict()).  Each float is formatted
-        once by repr, as json and csv both do, and shared by both texts; a
+        once by repr, as json and csv both do, and shared by both files; a
         row that is not "ok" goes through csv.writer, which quotes its status.
-        Each (scenario, status) pair is JSON-quoted once, and each text is
-        joined once.
+        Each (scenario, status) pair is JSON-quoted once, and each row goes to
+        both handles as soon as it is formatted.
         """
         losses = {x: repr(x) for x in self.config.loss_db}  # finite: ScanConfig checks them
-        templates = {}  # (scenario, status): _JSON_ROW with both filled in
-        json_rows = []
-        csv_lines = ["loss_dB,scenario,t_eff,xi_eff,rate,status\n"]
-        # csv.writer appends the text of each row it writes to the same list.
-        csv_writer = csv.writer(SimpleNamespace(write=csv_lines.append), lineterminator="\n")
-        for loss_db, scenario, t_eff, xi_eff, rate, status in self.rows:
-            loss = losses.get(loss_db) or finite_reprs(loss_db)[0]
-            if not (math.isfinite(t_eff) and math.isfinite(xi_eff)):
-                finite_reprs(t_eff, xi_eff)  # raises json_text's ValueError
-            t_text, xi_text, rate_text = repr(t_eff), repr(xi_eff), repr(rate)
-            template = templates.get((scenario, status))
-            if template is None:  # keys sort as loss_db, rate, scenario, status, t_eff, xi_eff
-                quoted = [encode_basestring_ascii(x).replace("%", "%%") for x in (scenario, status)]
-                template = _JSON_ROW % ("%s", "%s", *quoted, "%s", "%s")
-                templates[scenario, status] = template
-            json_rate = rate_text if math.isfinite(rate) else "null"
-            json_rows.append(template % (loss, json_rate, t_text, xi_text))
-            if status == "ok":
-                csv_lines.append(f"{loss},{scenario},{t_text},{xi_text},{rate_text},ok\n")
-            else:
-                csv_writer.writerow((loss, scenario, t_text, xi_text, rate_text, status))
-        return json_report(self._json_head(), "rows", json_rows), "".join(csv_lines)
+        csv_fh.write("loss_dB,scenario,t_eff,xi_eff,rate,status\n")
+        csv_writer = csv.writer(csv_fh, lineterminator="\n")
+
+        def json_rows():  # each row's JSON text, its CSV line written as it is taken
+            templates = {}  # (scenario, status): _JSON_ROW with both filled in
+            for loss_db, scenario, t_eff, xi_eff, rate, status in self.rows:
+                loss = losses.get(loss_db) or finite_reprs(loss_db)[0]
+                if not (math.isfinite(t_eff) and math.isfinite(xi_eff)):
+                    finite_reprs(t_eff, xi_eff)  # raises json_text's ValueError
+                t_text, xi_text, rate_text = repr(t_eff), repr(xi_eff), repr(rate)
+                key = scenario, status
+                template = templates.get(key)
+                if template is None:  # keys sort as loss_db, rate, scenario, status, t_eff, xi_eff
+                    quoted = [encode_basestring_ascii(x).replace("%", "%%") for x in key]
+                    template = templates[key] = _JSON_ROW % ("%s", "%s", *quoted, "%s", "%s")
+                if status == "ok":
+                    csv_fh.write(f"{loss},{scenario},{t_text},{xi_text},{rate_text},ok\n")
+                else:
+                    csv_writer.writerow((loss, scenario, t_text, xi_text, rate_text, status))
+                json_rate = rate_text if math.isfinite(rate) else "null"
+                yield template % (loss, json_rate, t_text, xi_text)
+
+        write_json_report(json_fh, self._json_head(), "rows", json_rows())
 
     def to_csv_text(self) -> str:
-        return self.report_texts()[1]
+        self.write_reports(io.StringIO(), csv_fh := io.StringIO())
+        return csv_fh.getvalue()
 
 
 def loss_db_to_transmittance(loss_db: float) -> float:

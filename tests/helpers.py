@@ -2,11 +2,14 @@
 
 Unlike oracles.py, whose checks share no arithmetic with the engine, these
 are thin uses of it: the 32-cell Monte Carlo grid that criterion 4 and the
-equivalence tests sweep, and the exact total variation of one pair of
-outcome densities, one row of equivalence._tv_rows.
+equivalence tests sweep, the exact total variation of one pair of outcome
+densities, one row of equivalence._tv_rows, and the text of a report's two
+files.
 """
 
 from __future__ import annotations
+
+import io
 
 from cvtrust.detectors import OutcomeDensity
 from cvtrust.equivalence import SweepConfig, _tv_rows, default_alpha_grid, default_spec_grid
@@ -32,3 +35,10 @@ def reduced_mc_config(
 def _tv_distance(d1: OutcomeDensity, d2: OutcomeDensity) -> float:
     """Exact total variation between two outcome densities: one row of _tv_rows."""
     return float(_tv_rows(d1.mean[None], d1.variance, d2.mean[None], d2.variance)[0])
+
+
+def report_texts(report) -> tuple[str, str]:
+    """The JSON and CSV texts that report.write_reports writes."""
+    json_fh, csv_fh = io.StringIO(), io.StringIO()
+    report.write_reports(json_fh, csv_fh)
+    return json_fh.getvalue(), csv_fh.getvalue()

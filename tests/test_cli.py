@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cvtrust
-from cvtrust.cli import _json_text, _parse_loss_grid, main
+from cvtrust.cli import _json_text, _parse_loss_grid, _write_atomic, main
 from cvtrust.detectors import KINDS, DetectorSpec
 from cvtrust.equivalence import (
     MAX_MC_SAMPLES,
@@ -28,9 +29,10 @@ from cvtrust.equivalence import (
     SweepConfig,
     default_sweep_config,
 )
-from cvtrust.jsontext import json_report, json_value
-from cvtrust.keyrate import PROTOCOLS, RATE_FUNCTIONS, ScanConfig
+from cvtrust.jsontext import json_value, write_json_report
+from cvtrust.keyrate import PROTOCOLS, RATE_FUNCTIONS, ScanConfig, run_scan
 from cvtrust.rescaling import rescale_plan
+from helpers import report_texts
 
 pytestmark = pytest.mark.usefixtures("isolated_output_dir")
 
@@ -657,6 +659,31 @@ def test_a_malformed_sweep_config_exits_2_naming_the_fault(capsys, tmp_path, dat
 
 
 @pytest.mark.parametrize(
+    "spec, detail",
+    [
+        ({"kind": "heterodyne", "eta_d": 0.7, "colour": 1}, "has unknown key 'colour'"),
+        ({"kind": "heterodyne", "nbar": 0.01}, "is missing key 'eta_d'"),
+        ({}, "is missing key 'kind'"),
+    ],
+    ids=["unknown-key", "missing-key", "empty"],
+)
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_a_malformed_detector_spec_exits_2_naming_its_index_and_key(
+    capsys, tmp_path, command, spec, detail
+):
+    base, key, config_kind = {
+        "verify": (_VERIFY_BASE, "specs", "sweep"),
+        "scan": (_SCAN_BASE, "detectors", "scan"),
+    }[command]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**base, key: [*base[key], spec]}))
+    code, out, err = run_cli(capsys, command, "--config", str(config), "--out", "bad")
+    assert code == 2 and out == ""
+    assert err == f"error: malformed {config_kind} config: {key}[1] {detail}\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
     "obj, schema",
     [
         (SweepConfig(alphas=(1j,), specs=(DetectorSpec("homodyne", 0.7, 0.01),)), True),
@@ -705,6 +732,12 @@ def test_report_writer_equals_the_indented_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _json_report(head, key, texts):
+    fh = io.StringIO()
+    write_json_report(fh, head, key, iter(texts))
+    return fh.getvalue()
+
+
 # The tests' keys "a", "n" and "z" sort before, between and after the head's
 # keys; "b" holds each of them one level down, and "m" names one in a string.
 _REPORT_HEAD = {
@@ -722,7 +755,7 @@ _REPORT_HEAD = {
 )
 def test_json_report_splices_the_items_into_one_top_level_line(key, items):
     texts = [json_value(item, "\n    ") for item in items]
-    assert json_report(_REPORT_HEAD, key, texts) == _json_text({**_REPORT_HEAD, key: items})
+    assert _json_report(_REPORT_HEAD, key, texts) == _json_text({**_REPORT_HEAD, key: items})
 
 
 @settings(max_examples=100, deadline=None)
@@ -733,7 +766,7 @@ def test_json_report_splices_the_items_into_one_top_level_line(key, items):
 )
 def test_json_report_equals_the_json_text_of_the_whole(head, key, items):
     texts = [json_value(item, "\n    ") for item in items]
-    assert json_report(head, key, texts) == _json_text({**head, key: items})
+    assert _json_report(head, key, texts) == _json_text({**head, key: items})
 
 
 @pytest.mark.parametrize(
@@ -1193,6 +1226,51 @@ def test_a_write_that_fails_after_its_temp_file_exits_2_leaving_no_file(
     assert err.startswith(f"error: cannot write {tmp_path / 'full'}") and err.count("\n") == 1
     assert "No space left on device" in err
     assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS[:2], ids=lambda argv: argv[0])
+def test_a_report_pair_is_replaced_whole_or_not_at_all(capsys, tmp_path, monkeypatch, argv):
+    old = {tmp_path / "pair.json": "old json\n", tmp_path / "pair.csv": "old csv\n"}
+    for path, text in old.items():
+        path.write_text(text)
+    mkstemp, calls = tempfile.mkstemp, []
+
+    def full_disk_on_the_csv(*args, **kwargs):
+        calls.append(kwargs["prefix"])
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return mkstemp(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkstemp", full_disk_on_the_csv)
+    code, out, err = run_cli(capsys, *argv, "--out", "pair")
+    assert calls == ["pair.json.", "pair.csv."]
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path / 'pair'}") and err.count("\n") == 1
+    assert "No space left on device" in err
+    assert {path: path.read_text() for path in tmp_path.iterdir()} == old
+
+
+def test_writing_the_scan_fine_reports_holds_neither_report_in_memory(tmp_path):
+    # The hybrid scan of the scan-fine benchmark: 12,003 rows, whose reports
+    # are 2.3 MiB of JSON and 0.9 MiB of CSV.
+    config = ScanConfig(
+        loss_db=_parse_loss_grid("0.0:40.0:0.01"),
+        xi0=0.01,
+        detectors=tuple(DetectorSpec.from_noise_product(k, 0.7, two_nu=1e-3) for k in KINDS),
+        protocol="hybrid",
+    )
+    table = run_scan(config)
+    paths = [tmp_path / "scan.json", tmp_path / "scan.csv"]
+    tracemalloc.start()
+    try:
+        _write_atomic(paths, table.write_reports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 12003
+    assert [path.read_text() for path in paths] == list(report_texts(table))
+    assert paths[0].stat().st_size > 2 * 2**20
+    assert peak < 1.5 * 2**20
 
 
 @pytest.mark.parametrize("unbuffered", ["1", None])

@@ -53,7 +53,7 @@ from cvtrust.equivalence import (
     monte_carlo_sweep,
 )
 import kstwo_table
-from helpers import _tv_distance, reduced_mc_config
+from helpers import _tv_distance, reduced_mc_config, report_texts
 from oracles import (
     channel_moment_oracle,
     gaussian_pdf,
@@ -303,7 +303,7 @@ def _csv_writer_text(report):
 )
 def test_one_pass_reports_equal_the_json_writer_and_csv_writer_forms(sweep, config):
     report = sweep(config)
-    json_report, csv_report = report.report_texts()
+    json_report, csv_report = report_texts(report)
     assert json_report == json_text(report.to_json_dict())
     assert csv_report == report.to_csv_text() == _csv_writer_text(report)
     assert report.to_json_dict()["config"]["mode"] == report.mode
@@ -336,7 +336,7 @@ def test_one_pass_reports_refuse_non_finite_values_as_json_text_does(field, valu
     with pytest.raises(ValueError, match="not JSON compliant"):
         json_text(report.to_json_dict())
     with pytest.raises(ValueError, match="not JSON compliant"):
-        report.report_texts()
+        report_texts(report)
 
 
 def _gaussian(mean, var):

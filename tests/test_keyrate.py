@@ -28,6 +28,7 @@ from cvtrust.keyrate import (
     run_scan,
 )
 from cvtrust.rescaling import rescale_plan
+from helpers import report_texts
 
 HET_SPEC = DetectorSpec.from_noise_product(HETERODYNE, 0.7, two_nu=1e-3)
 HOM_SPEC = DetectorSpec.from_noise_product(HOMODYNE, 0.7, two_nu=1e-3)
@@ -431,7 +432,7 @@ def test_one_pass_reports_equal_the_json_writer_and_csv_writer_forms():
     assert "ok" in statuses and "error: non-finite rate" in statuses
     assert {f"error: {m}" for m in messages} <= statuses
     for t in (table, replace(table, rows=())):
-        json_report, csv_report = t.report_texts()
+        json_report, csv_report = report_texts(t)
         assert json_report == json_text(t.to_json_dict())
         assert csv_report == t.to_csv_text() == _csv_writer_text(t)
 
@@ -458,7 +459,7 @@ def test_run_scan_calls_the_rate_function_once_per_row_in_row_order(monkeypatch)
     assert statuses == ["ok", "error: 100% off", "ok", "ok", "error: non-finite rate"] + ["ok"] * 4
     for row in table.rows:
         assert math.isnan(row.rate) if row.status != "ok" else row.rate == 0.25 * row.t_eff
-    json_report, csv_report = table.report_texts()
+    json_report, csv_report = report_texts(table)
     assert json_report == json_text(table.to_json_dict())
     assert csv_report == _csv_writer_text(table)
 
@@ -471,7 +472,7 @@ def test_one_pass_reports_refuse_non_finite_values_as_json_text_does(field, valu
     with pytest.raises(ValueError, match="not JSON compliant"):
         json_text(table.to_json_dict())
     with pytest.raises(ValueError, match="not JSON compliant"):
-        table.report_texts()
+        report_texts(table)
 
 
 def test_scan_table_serialization():
