@@ -34,13 +34,28 @@ import numpy as np
 
 from .detectors import HOMODYNE, KINDS, DetectorSpec, checked_nu
 from .equivalence import (
-    DEFAULT_AMPLITUDES, DEFAULT_PHASES, SABOTAGE_MODES, SWEEPS, SweepConfig, default_alpha_grid,
-    default_spec_grid, default_sweep_config,
+    DEFAULT_AMPLITUDES,
+    DEFAULT_PHASES,
+    SABOTAGE_MODES,
+    SWEEPS,
+    SweepConfig,
+    default_alpha_grid,
+    default_spec_grid,
+    default_sweep_config,
 )
-from .jsontext import json_object, json_text as _json_text
-from .keyrate import PROTOCOLS, RATE_FUNCTIONS, ScanConfig, run_scan
+from .jsontext import json_object
+from .jsontext import json_text as _json_text
+from .keyrate import (
+    PROTOCOLS,
+    RATE_FUNCTIONS,
+    ScanConfig,
+    run_scan,
+)
 from .rescaling import (
-    CalibrationFailed, noise_figure_from_vacuum_variance, rescale_plan, rescale_plan_limit,
+    CalibrationFailed,
+    noise_figure_from_vacuum_variance,
+    rescale_plan,
+    rescale_plan_limit,
 )
 
 OUTPUT_DIR_ENV = "CVTRUST_OUTPUT_DIR"
@@ -57,14 +72,15 @@ def _write_atomic(paths: list[Path], fill: Callable[..., None]) -> None:
     """fill(*handles) writes a temp file beside each path; each is then given the
     mode open() would give (not mkstemp's 0o600) and renamed onto its path in
     order, none before all are written.  On any error no temp file is left, and
-    an OSError becomes a ValueError naming the path it was met at."""
+    an OSError becomes a ValueError naming the path it was met at, or every
+    path if fill met it, as fill's handles do not say which file failed."""
     temps = {}  # path: (handle, temp file), until it is renamed
     try:
         for path in paths:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
             temps[path] = os.fdopen(fd, "w"), tmp
-        path = paths[0]  # what fill cannot write is named by the first path
+        path = " and ".join(map(str, paths))
         fill(*(fh for fh, _ in temps.values()))
         umask = os.umask(0)
         os.umask(umask)

@@ -200,8 +200,8 @@ def rescaled_lossy_density(
     return ideal_density(lossy, kind).scaled(r)
 
 
-# Draws per heterodyne standard_normal call in sample_outcomes: the staging
-# block is 1 MiB, however many draws a sample has.
+# Draws per standard_normal call in sample_outcomes: the staging block is
+# 1 MiB for heterodyne, however many draws a sample has.
 _DRAW_BLOCK = 2**16
 
 
@@ -212,9 +212,9 @@ def sample_outcomes(
 
     Streams with the same seed but different stream ids are statistically
     independent, and every (seed, stream) pair is reproducible across
-    runs.  The normals are those of one standard_normal((n, density.ndim))
-    call, bit for bit: a homodyne row is drawn, scaled and shifted in place,
-    heterodyne normals in blocks of 2^16 draws written into the rows.
+    runs.  The normals come in blocks of 2^16 draws, which give the same
+    values as one standard_normal((n, density.ndim)) call, bit for bit;
+    each block is scaled, shifted and written into the rows.
 
     Args:
         density: The outcome density to sample.
@@ -231,11 +231,6 @@ def sample_outcomes(
         raise ValueError("sample count must be at least 1")
     rng = np.random.default_rng((int(seed), int(stream)))
     sd = math.sqrt(density.variance)
-    if density.ndim == 1:
-        rows = rng.standard_normal((1, n))
-        rows *= sd
-        rows += density.mean
-        return rows
     rows = np.empty((density.ndim, n))
     block = np.empty((min(n, _DRAW_BLOCK), density.ndim))
     for start in range(0, n, _DRAW_BLOCK):

@@ -38,7 +38,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .detectors import (
-    KINDS, DetectorSpec, OutcomeDensity, noisy_measurement_density, rescaled_lossy_density,
+    KINDS,
+    DetectorSpec,
+    OutcomeDensity,
+    noisy_measurement_density,
+    rescaled_lossy_density,
     sample_outcomes,
 )
 from .gaussian import coherent_state

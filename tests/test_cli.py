@@ -1245,9 +1245,24 @@ def test_a_report_pair_is_replaced_whole_or_not_at_all(capsys, tmp_path, monkeyp
     code, out, err = run_cli(capsys, *argv, "--out", "pair")
     assert calls == ["pair.json.", "pair.csv."]
     assert code == 2 and out == ""
-    assert err.startswith(f"error: cannot write {tmp_path / 'pair'}") and err.count("\n") == 1
+    assert err.startswith(f"error: cannot write {tmp_path / 'pair.csv'}: ") and err.count("\n") == 1
     assert "No space left on device" in err
     assert {path: path.read_text() for path in tmp_path.iterdir()} == old
+
+
+def test_a_write_that_fails_in_the_report_names_both_files_and_leaves_neither(tmp_path):
+    paths = [tmp_path / "pair.json", tmp_path / "pair.csv"]
+
+    def fill(json_fh, csv_fh):
+        json_fh.write("{}\n")
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(ValueError) as info:
+        _write_atomic(paths, fill)
+    assert str(info.value) == (
+        f"cannot write {paths[0]} and {paths[1]}: [Errno 28] No space left on device"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_writing_the_scan_fine_reports_holds_neither_report_in_memory(tmp_path):
