@@ -29,7 +29,7 @@ import io
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import product, repeat
 from json.encoder import encode_basestring_ascii
@@ -47,7 +47,8 @@ from .detectors import (
 )
 from .gaussian import coherent_state
 from .jsontext import (
-    finite_reprs, json_dataclass, json_list, json_object_template, real_number, write_json_report,
+    finite_reprs, json_dataclass, json_dataclasses, json_list, json_object_template, real_number,
+    write_json_report,
 )
 from .rescaling import rescale_plan
 
@@ -151,22 +152,23 @@ class SweepConfig:
         if schema != "cvtrust/verify-config/1":
             raise ValueError(f"unsupported sweep config schema {schema!r}")
         try:
-            alphas = []
-            for i, pair in enumerate(json_list("alphas", data["alphas"])):
-                if len(json_list(f"alphas[{i}]", pair)) != 2:
-                    raise ValueError(f"alphas[{i}] must be a [re, im] pair, got {pair!r}")
-                alphas.append(complex(*(real_number("alphas", v) for v in pair)))
-            data["alphas"] = tuple(alphas)
-            data["specs"] = tuple(
-                json_dataclass(DetectorSpec, f"specs[{i}]", s)
-                for i, s in enumerate(json_list("specs", data["specs"]))
+            return json_dataclass(
+                cls, "config", data,
+                alphas=_json_alphas,
+                specs=partial(json_dataclasses, DetectorSpec),
             )
-            unknown = set(data) - {f.name for f in fields(cls)}
-            if unknown:
-                raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-            return cls(**data)
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed sweep config: {exc}") from exc
+
+
+def _json_alphas(name: str, value) -> tuple[complex, ...]:
+    """A JSON array of [re, im] pairs as complex amplitudes; a fault names the pair, name[i]."""
+    alphas = []
+    for i, pair in enumerate(json_list(name, value)):
+        if len(json_list(f"{name}[{i}]", pair)) != 2:
+            raise ValueError(f"{name}[{i}] must be a [re, im] pair, got {pair!r}")
+        alphas.append(complex(*(real_number(f"{name}[{i}]", v) for v in pair)))
+    return tuple(alphas)
 
 
 class CellResult(NamedTuple):
@@ -470,12 +472,6 @@ def _level_blocks(xs: np.ndarray, ys: np.ndarray, side: str):
         yield i, np.subtract(i, level, out=level)
 
 
-def _extreme(blocks: list[tuple]) -> tuple:
-    """The largest first item over blocks, and the largest second item where it is reached."""
-    top = max(block[0] for block in blocks)
-    return top, max(block[1] for block in blocks if block[0] == top)
-
-
 def _ks_statistic(xs: np.ndarray, ys: np.ndarray) -> float:
     """Two-sided two-sample KS statistic of two samples of equal size n.
 
@@ -508,15 +504,15 @@ def _ks_statistic(xs: np.ndarray, ys: np.ndarray) -> float:
         # There c_i = i - bottom >= 1, and a y equal to x_i is ys[c_i - 1].
         tied = bottom < 0 and (ys[at - bottom - 1] == xs[at]).any()
         bottoms.append((-bottom, ((at - bottom) / n - at / n).max(), tied))
-    d_plus = float(_extreme(tops)[1])
-    depth, d_minus = _extreme(bottoms)
+    d_plus = float(max(tops)[1])
+    depth, d_minus = max(bottoms)[:2]
     if depth > 0 and any(tied for d, _, tied in bottoms if d == depth):
         bottoms = []
         for i, level in _level_blocks(xs, ys, "left"):
             bottom = level.min()
             at = i[level == bottom]
             bottoms.append((-bottom, ((at - bottom) / n - at / n).max()))
-        depth, d_minus = _extreme(bottoms)
+        depth, d_minus = max(bottoms)
     return d_plus if depth <= 0 else max(d_plus, float(d_minus))
 
 

@@ -1,4 +1,4 @@
-"""The JSON boundary: the writers' strict-JSON rule, and the type checks of config values."""
+"""The JSON boundary: the writers' strict-JSON rule, and the one reader of config objects."""
 
 from __future__ import annotations
 
@@ -56,9 +56,11 @@ def write_json_report(fh, head: dict, key: str, item_texts: Iterable[str]) -> No
     fh.write(("[]" if sep == "[\n    " else "\n  ]") + closing)
 
 
-def json_dataclass(cls, name: str, value):
-    """cls(**value) for a JSON object value; a key that is not a field of cls, or a
-    field without a default that is not a key, is a TypeError naming it, as cls's own.
+def json_dataclass(cls, name: str, value, **readers):
+    """cls(**value) for a JSON object value, the one reader of a config object.  A key
+    that is not a field of cls, or a field without a default that is not a key, is a
+    TypeError "<name> has unknown key 'k'" or "<name> is missing key 'k'"; then each
+    present key with a reader, in the readers' order, gets reader(key, its value).
     """
     value = json_object(name, value)
     required = {f.name: MISSING is f.default is f.default_factory for f in fields(cls)}
@@ -67,7 +69,13 @@ def json_dataclass(cls, name: str, value):
     if unknown or missing:
         fault = f"has unknown key {unknown[0]!r}" if unknown else f"is missing key {missing[0]!r}"
         raise TypeError(f"{name} {fault}")
-    return cls(**value)
+    read = {key: reader(key, value[key]) for key, reader in readers.items() if key in value}
+    return cls(**{**value, **read})
+
+
+def json_dataclasses(cls, name: str, value) -> tuple:
+    """A JSON array of objects as a tuple of cls, item i read by json_dataclass as name[i]."""
+    return tuple(json_dataclass(cls, f"{name}[{i}]", v) for i, v in enumerate(json_list(name, value)))
 
 
 def real_number(name: str, value):

@@ -14,6 +14,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -22,7 +23,7 @@ import numpy as np
 from .channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params
 from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec
 from .jsontext import (
-    finite_reprs, json_dataclass, json_list, json_object, json_object_template, real_number,
+    finite_reprs, json_dataclass, json_dataclasses, json_list, json_object_template, real_number,
     write_json_report,
 )
 from .rescaling import harmonize
@@ -178,12 +179,9 @@ RATE_FUNCTIONS: dict[str, Callable] = {
 
 def get_rate_function(name: str) -> Callable:
     """Look up a registered rate function by name."""
-    try:
-        return RATE_FUNCTIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown rate function {name!r}; registered: {sorted(RATE_FUNCTIONS)}"
-        ) from None
+    if name not in RATE_FUNCTIONS:
+        raise ValueError(f"unknown rate function {name!r}; registered: {sorted(RATE_FUNCTIONS)}")
+    return RATE_FUNCTIONS[name]
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,20 +279,14 @@ class ScanConfig:
         if schema != "cvtrust/scan-config/1":
             raise ValueError(f"unsupported scan config schema {schema!r}")
         try:
-            data["detectors"] = tuple(
-                json_dataclass(DetectorSpec, f"detectors[{i}]", d)
-                for i, d in enumerate(json_list("detectors", data["detectors"]))
+            return json_dataclass(
+                cls, "config", data,
+                detectors=partial(json_dataclasses, DetectorSpec),
+                loss_db=json_list,
+                scenarios=json_list,
+                rate_params=partial(json_dataclass, RateParams),
             )
-            for name in ("loss_db", "scenarios"):
-                if name in data:
-                    json_list(name, data[name])
-            if "rate_params" in data:
-                data["rate_params"] = RateParams(**json_object("rate_params", data["rate_params"]))
-            unknown = set(data) - {f.name for f in fields(cls)}
-            if unknown:
-                raise ValueError(f"unknown scan config keys: {sorted(unknown)}")
-            return cls(**data)
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed scan config: {exc}") from exc
 
 

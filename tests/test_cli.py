@@ -684,6 +684,31 @@ def test_a_malformed_detector_spec_exits_2_naming_its_index_and_key(
 
 
 @pytest.mark.parametrize(
+    "command, extra, line",
+    [
+        ("verify", {"surprise": 1}, "malformed sweep config: config has unknown key 'surprise'"),
+        ("scan", {"surprise": 1}, "malformed scan config: config has unknown key 'surprise'"),
+        (
+            "scan",
+            {"rate_params": {"colour": 1}},
+            "malformed scan config: rate_params has unknown key 'colour'",
+        ),
+    ],
+    ids=["verify-unknown-key", "scan-unknown-key", "rate-params-unknown-key"],
+)
+def test_a_config_key_fault_exits_2_naming_its_place_and_key(
+    capsys, tmp_path, command, extra, line
+):
+    base = _VERIFY_BASE if command == "verify" else _SCAN_BASE
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**base, **extra}))
+    code, out, err = run_cli(capsys, command, "--config", str(config), "--out", "bad")
+    assert code == 2 and out == ""
+    assert err == f"error: {line}\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
     "obj, schema",
     [
         (SweepConfig(alphas=(1j,), specs=(DetectorSpec("homodyne", 0.7, 0.01),)), True),
@@ -780,7 +805,7 @@ def test_json_report_equals_the_json_text_of_the_whole(head, key, items):
         ("verify", '"tv_tol": true', "tv_tol"),
         ("verify", '"tv_tol": "x"', "tv_tol"),
         ("verify", '"ks_alpha": false', "ks_alpha"),
-        ("verify", '"alphas": [[true, 0]]', "alphas"),
+        ("verify", '"alphas": [[true, 0]]', "alphas[0]"),
         ("verify", '"specs": [{"kind": "homodyne", "eta_d": 0.7, "nbar": false}]', "nbar"),
         ("scan", '"scenarios": 5', "scenarios"),
         ("scan", '"scenarios": "ideal"', "scenarios"),
@@ -1476,6 +1501,7 @@ def test_every_argv_ends_in_a_report_a_failed_verdict_or_one_error_line(cases, d
         assert code == 2
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert "__init__()" not in err.getvalue()
         assert caught == [] and written == {}
         return
     assert code == 0 or (code == 1 and command in ("verify", "calibrate"))

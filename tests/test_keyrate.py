@@ -313,8 +313,11 @@ def test_scan_config_json_roundtrip():
     assert back.detectors == config.detectors
     assert back.rate_params == config.rate_params
     for key in ("surprise", "epsilon_sec", "pulse_count"):
-        with pytest.raises(ValueError, match=f"unknown scan config keys: \\['{key}'\\]"):
+        with pytest.raises(ValueError, match=f"^malformed scan config: config has unknown key '{key}'$"):
             ScanConfig.from_json_dict({**data, key: 1e-10})
+    del data["loss_db"]
+    with pytest.raises(ValueError, match="^malformed scan config: config is missing key 'loss_db'$"):
+        ScanConfig.from_json_dict(data)
 
 
 def test_run_scan_frozen_heterodyne_values():
