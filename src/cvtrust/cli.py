@@ -221,8 +221,8 @@ def _sweep_config_from_args(args: argparse.Namespace) -> tuple[SweepConfig, str]
         if args.amplitudes is not None:
             amplitudes = _parse_float_list(args.amplitudes)
         n_phases = DEFAULT_PHASES if args.phases is None else args.phases
-        n_specs = len(overrides.get("specs", base.specs))
-        if len(amplitudes) * n_phases * n_specs > MAX_GRID_POINTS:
+        spec_count = len(overrides.get("specs", base.specs))
+        if len(amplitudes) * n_phases * spec_count > MAX_GRID_POINTS:
             raise ValueError(f"--amplitudes x --phases x specs is more than {MAX_GRID_POINTS} cells")
         overrides["alphas"] = default_alpha_grid(amplitudes, n_phases)
     for name in ("mc_samples", "seed", "param_tol", "tv_tol", "ks_alpha", "sabotage"):

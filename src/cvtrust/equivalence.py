@@ -1,26 +1,24 @@
 """Verification lab for the noise-to-loss detector reduction.
 
-Two routes check that a noisy detector and its rescaled lossy counterpart
-are indistinguishable on coherent inputs:
+Each detector spec gives one ModelPair: the noisy detector's outcome
+density (left) against the lossy ideal detector's (right), whose outcomes
+are scaled by the plan's r.  Two routes check that the two sides are
+indistinguishable on coherent inputs:
 
-* analytic sweeps compare the closed-form Gaussian outcome densities
-  parameter by parameter, and by their exact total-variation distance,
-  over a grid of amplitudes and detector specs;
-* Monte Carlo sweeps draw outcomes from both models and apply two-sample
+* analytic sweeps compare the closed-form Gaussian densities parameter
+  by parameter, and by their exact total-variation distance, over a grid
+  of amplitudes and detector specs;
+* Monte Carlo sweeps draw outcomes from both sides and apply two-sample
   Kolmogorov-Smirnov tests with a Holm correction across the grid.
+
+Sabotage modes are transforms of a pair that de-tune its scale, so the
+machinery's ability to catch a wrong reduction can be tested.
 
 scipy is imported inside the functions that call it, so the rest of the
 package (and the scan, rescale and calibrate commands) loads without it;
-both sweeps need only scipy.special.  A Monte Carlo sweep draws n >= 10^4
-outcomes per model and cell.  KS p-values at n = 10^4 are exact and
-computed here, bit for bit as scipy's ks_2samp computes them; above that,
-and where the exact series leaves [0, 1], they are scipy's kstwo.sf at
-en = round(n / 2) >= 5,000, computed bit for bit by kstail.kstwo_sf.
-
-Deliberate sabotage modes de-tune the rescale step so the machinery's
-ability to catch a wrong reduction can be tested.  The 32-cell Monte Carlo
-grid that the acceptance suite sweeps, and the TV of a single pair of
-densities, are test helpers in tests/helpers.py.
+both sweeps need only scipy.special.  The 32-cell Monte Carlo grid that
+the acceptance suite sweeps, and the TV of a single pair of densities,
+are test helpers in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -52,9 +50,22 @@ from .jsontext import (
 )
 from .rescaling import rescale_plan
 
-# Each sabotage mode's transform of the plan's r, the rescale the sweep uses.
-SABOTAGED_R = {"none": lambda r: r, "skip-rescale": lambda r: 1.0, "scale-r": lambda r: r * 1.01}
-SABOTAGE_MODES = tuple(SABOTAGED_R)
+
+class ModelPair(NamedTuple):
+    """A spec's densities at unit amplitude: left, and right with outcomes scaled by scale."""
+
+    spec: DetectorSpec
+    left: OutcomeDensity
+    right: OutcomeDensity
+    scale: float
+
+
+SABOTAGE = {
+    "none": lambda pair: pair,
+    "skip-rescale": lambda pair: pair._replace(scale=1.0),
+    "scale-r": lambda pair: pair._replace(scale=pair.scale * 1.01),
+}
+SABOTAGE_MODES = tuple(SABOTAGE)
 
 # Largest mc_samples a sweep accepts.  A heterodyne Monte Carlo cell peaks at
 # about 43 bytes per draw (ru_maxrss growth of a forked child running one cell
@@ -92,8 +103,7 @@ class SweepConfig:
             between the two outcome densities, computed in closed form;
             analytic_sweep refuses one below the grid's TV floor.
         ks_alpha: Family-wise level of the Holm-corrected KS tests.
-        sabotage: "none" for faithful comparison, "skip-rescale" to drop
-            the outcome rescale, "scale-r" to inflate r by 1 percent.
+        sabotage: The SABOTAGE mode that transforms each spec's pair.
     """
 
     alphas: tuple[complex, ...]
@@ -335,18 +345,14 @@ def default_sweep_config(**overrides) -> SweepConfig:
     return replace(base, **overrides) if overrides else base
 
 
-def _specs(config: SweepConfig):
-    """Each spec's model (spec, noisy, lossy, r_used), the densities at unit amplitude.
-
-    lossy is taken before the rescale by r_used, the plan's r, dropped or inflated
-    by 1 percent under sabotage.  A cell's means are these times (Re, Im)(alpha)[:ndim].
-    """
+def _pairs(config: SweepConfig):
+    """Each spec's ModelPair, transformed by the config's sabotage mode."""
     unit = coherent_state(1.0)
     for spec in config.specs:
         plan = rescale_plan(spec)
         noisy = noisy_measurement_density(unit, spec)
         lossy = rescaled_lossy_density(unit, spec.kind, plan.eta_e, 1.0)
-        yield spec, noisy, lossy, SABOTAGED_R[config.sabotage](plan.r)
+        yield SABOTAGE[config.sabotage](ModelPair(spec, noisy, lossy, plan.r))
 
 
 def _relative_gap(a, b, floor: float) -> np.ndarray | np.floating:
@@ -582,50 +588,48 @@ def holm_rejections(pvalues: list[float], alpha: float) -> set[int]:
     return rejected
 
 
-def _tv_floor(xy: np.ndarray, models: list) -> float:
+def _tv_floor(xy: np.ndarray, pairs: list[ModelPair]) -> float:
     """The grid's largest B_4 = erf(4 eps |m| / (2 sqrt 2 sigma)) + 1.5 sqrt(ndim) 4 eps.
 
-    B_4 bounds the TV of 4-ulp relative errors in the noisy density's mean m
+    B_4 bounds the TV of 4-ulp relative errors in a left density's mean m
     (the erf) and variance sigma^2 (Devroye-Mehrabian-Reddad, arXiv:1810.08693).
     |m| peaks at the largest |Re alpha| (homodyne) or |alpha| (heterodyne) of xy.
     """
     k_eps = 4.0 * 2.0**-52
     reach = {1: np.abs(xy[:, 0]).max(), 2: np.hypot(xy[:, 0], xy[:, 1]).max()}
     floor = 0.0
-    for _, noisy, _, _ in models:
-        shift = k_eps * abs(noisy.mean[0]) * reach[noisy.ndim]
-        bound = math.erf(shift / (2.0 * math.sqrt(2.0 * noisy.variance)))
-        floor = max(floor, bound + 1.5 * math.sqrt(noisy.ndim) * k_eps)
+    for left in (pair.left for pair in pairs):
+        shift = k_eps * abs(left.mean[0]) * reach[left.ndim]
+        bound = math.erf(shift / (2.0 * math.sqrt(2.0 * left.variance)))
+        floor = max(floor, bound + 1.5 * math.sqrt(left.ndim) * k_eps)
     return floor
 
 
 def analytic_sweep(config: SweepConfig) -> EquivalenceReport:
-    """Compare closed-form densities of both detector models over the grid.
+    """Compare each pair's closed-form densities over the grid.
 
-    Each cell passes when the relative mean gap, the relative variance
-    gap and the total-variation distance between the noisy-detector
-    density and the (possibly sabotaged) rescaled lossy density fall
-    within the configured tolerances.  The distance is exact; its
-    report field keeps the name tv_estimate.  Specs run one at a time,
-    over all amplitudes as arrays.  A tv_tol below the grid's TV floor,
-    the TV that rounding alone can give a faithful cell, raises ValueError.
+    A cell passes when the relative mean gap, the relative variance gap
+    and the exact total-variation distance (report field tv_estimate)
+    fall within the configured tolerances.  Pairs run one at a time, over
+    all amplitudes as arrays.  A tv_tol below the grid's TV floor, the TV
+    that rounding alone can give a faithful cell, raises ValueError.
     """
     xy = np.array([(a.real, a.imag) for a in config.alphas])
-    models = list(_specs(config))
-    floor = _tv_floor(xy, models)
+    pairs = list(_pairs(config))
+    floor = _tv_floor(xy, pairs)
     if config.tv_tol < floor:
         raise ValueError(f"tv_tol {config.tv_tol!r} is below the grid's TV floor {floor!r}")
     cells = []
-    for spec, noisy, lossy, r_used in models:
-        equivalent = lossy.scaled(r_used)
-        noisy_means = noisy.mean[0] * xy[:, : noisy.ndim]
-        lossy_means = r_used * (lossy.mean[0] * xy[:, : noisy.ndim])
-        mean_gaps = _relative_gap(noisy_means, lossy_means, floor=1.0)
-        var_gap = float(_relative_gap([noisy.variance], [equivalent.variance], floor=0.0))
-        tvs = _tv_rows(noisy_means, noisy.variance, lossy_means, equivalent.variance)
+    for pair in pairs:
+        left_means = pair.left.mean[0] * xy[:, : pair.left.ndim]
+        right_means = pair.scale * (pair.right.mean[0] * xy[:, : pair.left.ndim])
+        right_variance = (pair.scale * pair.scale) * pair.right.variance
+        mean_gaps = _relative_gap(left_means, right_means, floor=1.0)
+        var_gap = float(_relative_gap([pair.left.variance], [right_variance], floor=0.0))
+        tvs = _tv_rows(left_means, pair.left.variance, right_means, right_variance)
         passed = (np.maximum(mean_gaps, var_gap) <= config.param_tol) & (tvs <= config.tv_tol)
-        cells += map(CellResult, config.alphas, repeat(spec), mean_gaps.tolist(), repeat(var_gap),
-                     tvs.tolist(), repeat(None), repeat(None), passed.tolist())
+        cells += map(CellResult, config.alphas, repeat(pair.spec), mean_gaps.tolist(),
+                     repeat(var_gap), tvs.tolist(), repeat(None), repeat(None), passed.tolist())
     return EquivalenceReport("analytic", config, tuple(cells))
 
 
@@ -659,38 +663,34 @@ def _die_with_parent(parent: int) -> None:
 
 
 def _mc_cell(config: SweepConfig, indexed_cell: tuple) -> CellResult:
-    """Sample and KS-test one Monte Carlo cell.
+    """Sample and KS-test one Monte Carlo cell, indexed_cell = (index, (pair, alpha)).
 
-    indexed_cell is (index, (alpha, *model)) with the spec's model as _specs
-    yields it; the index picks the cell's two RNG substreams, so the result
-    does not depend on which process runs the cell or in what order.
+    The index picks the cell's two RNG substreams, so the result does not
+    depend on which process runs the cell or in what order.
     """
-    index, (alpha, spec, noisy, lossy, r_used) = indexed_cell
-    xy = np.array([alpha.real, alpha.imag])[: noisy.ndim]
-    noisy = OutcomeDensity(noisy.mean[0] * xy, noisy.variance)
-    lossy = OutcomeDensity(lossy.mean[0] * xy, lossy.variance)
-    # Each model's draws come as one contiguous row per component.  The KS
+    index, (pair, alpha) = indexed_cell
+    xy = np.array([alpha.real, alpha.imag])[: pair.left.ndim]
+    left = OutcomeDensity(pair.left.mean[0] * xy, pair.left.variance)
+    right = OutcomeDensity(pair.right.mean[0] * xy, pair.right.variance)
+    # Each density's draws come as one contiguous row per component.  The KS
     # step sorts them in place, so the gaps are taken first, in draw order.
-    xs = sample_outcomes(noisy, config.mc_samples, config.seed, 2 * index)
-    xs *= 1.0 / r_used
-    ys = sample_outcomes(lossy, config.mc_samples, config.seed, 2 * index + 1)
+    xs = sample_outcomes(left, config.mc_samples, config.seed, 2 * index)
+    xs *= 1.0 / pair.scale
+    ys = sample_outcomes(right, config.mc_samples, config.seed, 2 * index + 1)
     mean_gap = float(_relative_gap([np.mean(x) for x in xs], [np.mean(y) for y in ys], floor=1.0))
     var_gap = float(
         _relative_gap([np.var(x, ddof=1) for x in xs], [np.var(y, ddof=1) for y in ys], floor=0.0)
     )
     stat, pvalue = _ks_cell(list(zip(xs, ys)))
-    return CellResult(alpha, spec, mean_gap, var_gap, ks_statistic=stat, ks_pvalue=pvalue)
+    return CellResult(alpha, pair.spec, mean_gap, var_gap, ks_statistic=stat, ks_pvalue=pvalue)
 
 
 def monte_carlo_sweep(config: SweepConfig) -> EquivalenceReport:
-    """Compare sampled outcomes of both detector models over the grid.
+    """Compare sampled outcomes of each pair over the grid.
 
-    Per cell, mc_samples outcomes are drawn from the noisy detector and
-    divided by r (the division is dropped or de-tuned under sabotage),
-    another mc_samples are drawn from the lossy ideal detector, and the
-    two samples are KS-tested per outcome component.  Cell p-values are
-    Bonferroni-combined across components and a Holm correction at level
-    ks_alpha decides rejections across the grid.
+    Per cell, mc_samples draws from each side of the pair are KS-tested
+    per outcome component; the cell p-values, Bonferroni-combined across
+    components, are Holm-corrected at level ks_alpha across the grid.
 
     Cells run in a pool of forked processes, one per usable CPU, and
     come back in grid order; each cell draws from its own substreams, so
@@ -707,7 +707,7 @@ def monte_carlo_sweep(config: SweepConfig) -> EquivalenceReport:
     from . import kstail  # noqa: F401
 
     run_cell = partial(_mc_cell, config)
-    todo = list(enumerate((a, *model) for model in _specs(config) for a in config.alphas))
+    todo = list(enumerate(product(_pairs(config), config.alphas)))
     workers = _mc_workers(len(todo))
     if workers == 1:
         cells = [run_cell(c) for c in todo]

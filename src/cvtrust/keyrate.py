@@ -247,6 +247,8 @@ class ScanConfig:
             raise ValueError(f"scenarios must not repeat, got {list(self.scenarios)}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
+        if not isinstance(self.rate_name, str):
+            raise ValueError(f"rate_name must be a string, got {self.rate_name!r}")
         get_rate_function(self.rate_name)
         if UNTRUSTED in self.scenarios:
             first = self.detectors[0]

@@ -805,12 +805,16 @@ def test_json_report_equals_the_json_text_of_the_whole(head, key, items):
         ("verify", '"tv_tol": true', "tv_tol"),
         ("verify", '"tv_tol": "x"', "tv_tol"),
         ("verify", '"ks_alpha": false', "ks_alpha"),
+        ("verify", '"sabotage": {}', "sabotage"),
+        ("verify", '"sabotage": [1]', "sabotage"),
         ("verify", '"alphas": [[true, 0]]', "alphas[0]"),
         ("verify", '"specs": [{"kind": "homodyne", "eta_d": 0.7, "nbar": false}]', "nbar"),
         ("scan", '"scenarios": 5', "scenarios"),
         ("scan", '"scenarios": "ideal"', "scenarios"),
         ("scan", '"loss_db": 5', "loss_db"),
         ("scan", '"rate_params": [1]', "rate_params"),
+        ("scan", '"rate_name": [1]', "rate_name"),
+        ("scan", '"rate_name": {}', "rate_name"),
         ("scan", '"detectors": 5', "detectors"),
         ("scan", '"detectors": [5]', "detectors[0]"),
         ("verify", '"alphas": 5', "alphas"),

@@ -120,7 +120,7 @@ def test_faithful_sweep_passes_at_the_param_tol_floor(amplitudes):
 
 def _tv_floor(config):
     xy = np.array([(a.real, a.imag) for a in config.alphas])
-    return equivalence._tv_floor(xy, list(equivalence._specs(config)))
+    return equivalence._tv_floor(xy, list(equivalence._pairs(config)))
 
 
 def test_tv_floor_reference_values():
@@ -479,6 +479,22 @@ def test_analytic_sweep_equals_its_per_cell_reference(monkeypatch, sabotage, amp
     for got, want in zip(report.cells, reference):
         assert got == want
         assert all(type(getattr(got, f)) is float for f in ("mean_gap", "var_gap", "tv_estimate"))
+
+
+@pytest.mark.parametrize("sabotage", SABOTAGE_MODES)
+def test_a_sabotage_mode_changes_only_the_scale_of_each_pair(sabotage):
+    config = default_sweep_config(sabotage=sabotage)
+    faithful = list(equivalence._pairs(replace(config, sabotage="none")))
+    pairs = list(equivalence._pairs(config))
+    assert len(pairs) == len(faithful) == len(config.specs)
+    for pair, want, spec in zip(pairs, faithful, config.specs):
+        assert pair.spec == want.spec == spec
+        for got, density in ((pair.left, want.left), (pair.right, want.right)):
+            assert got.mean.tobytes() == density.mean.tobytes()
+            assert got.variance.hex() == density.variance.hex()
+        plan = rescale_plan(spec)
+        r_used = {"none": plan.r, "skip-rescale": 1.0, "scale-r": plan.r * 1.01}
+        assert pair.scale.hex() == r_used[sabotage].hex()
 
 
 @pytest.mark.parametrize("decimals", [None, 2])
@@ -900,7 +916,7 @@ def run(config, cell, queue):
 kind, n = sys.argv[1], int(sys.argv[2])
 spec = DetectorSpec.from_noise_product(kind, 0.7, nu=1e-2)
 config = equivalence.SweepConfig(alphas=(3.0,), specs=(spec,), mc_samples=n)
-cell = (0, (config.alphas[0], *next(equivalence._specs(config))))
+cell = (0, (next(equivalence._pairs(config)), config.alphas[0]))
 context = multiprocessing.get_context("fork")
 queue = context.Queue()
 child = context.Process(target=run, args=(config, cell, queue))
