@@ -14,9 +14,8 @@ carrier sees variance (1 + xi_eff) / 4 at transmittance t_eff.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .detectors import DetectorSpec
 from .rescaling import rescale_plan
@@ -32,23 +31,21 @@ class ChannelSpec:
     """A lossy fiber with excess noise.
 
     Attributes:
-        eta: Transmittance, 0 < eta <= 1: a float, or an array of
-            transmittances that scenario_params evaluates in one call.
+        eta: Transmittance, 0 < eta <= 1: a float, or a tuple of
+            transmittances (from any iterable of them) that scenario_params
+            evaluates in one call.
         xi0: Input-referred excess noise, xi0 >= 0; the displacement stage
             contributes eta * xi0 at the channel output.
     """
 
-    eta: float | np.ndarray
+    eta: float | tuple[float, ...]
     xi0: float = 0.0
 
     def __post_init__(self) -> None:
-        if np.ndim(self.eta) == 0:
-            eta = float(self.eta)
-        else:
-            eta = np.array(self.eta, dtype=float)
-            eta.setflags(write=False)
+        scalar = isinstance(self.eta, numbers.Real)
+        eta = float(self.eta) if scalar else tuple(map(float, self.eta))
         xi0 = float(self.xi0)
-        if not np.all((0.0 < eta) & (eta <= 1.0)):
+        if not all(0.0 < e <= 1.0 for e in ((eta,) if scalar else eta)):
             raise ValueError("channel transmittance must satisfy 0 < eta <= 1")
         if not math.isfinite(xi0) or xi0 < 0:
             raise ValueError("xi0 must be a finite non-negative number")
@@ -60,7 +57,7 @@ def scenario_params(
     channel: ChannelSpec,
     spec: DetectorSpec | None = None,
     scenario: str = IDEAL,
-) -> tuple[float | np.ndarray, float | np.ndarray]:
+) -> tuple[float | tuple[float, ...], float | tuple[float, ...]]:
     """Fold channel and detector into effective rate-evaluator parameters.
 
     ideal: the detector is perfect, (t, xi) = (eta, eta xi0).
@@ -73,8 +70,8 @@ def scenario_params(
     (t, xi) = (eta eta_d, eta eta_d xi0 + 2 nbar (1 - eta_d)).
 
     Args:
-        channel: The transmission line; an array-valued eta gives arrays
-            of the same shape, element for element equal to scalar calls.
+        channel: The transmission line; a tuple eta gives tuples of the
+            same length, element for element equal to scalar calls.
         spec: The detector; required for the trusted and untrusted
             scenarios.
         scenario: One of "ideal", "trusted", "untrusted".
@@ -85,13 +82,18 @@ def scenario_params(
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    # t = eta * gain and xi = t * xi0 + noise; a gain of 1 and a noise of 0
+    # are exact, so each scenario rounds only where its formula does.
     if scenario == IDEAL:
-        t_eff = channel.eta
-        return t_eff, t_eff * channel.xi0
-    if spec is None:
+        gain, noise = 1.0, 0.0
+    elif spec is None:
         raise ValueError(f"the {scenario} scenario requires a detector spec")
-    if scenario == TRUSTED:
-        t_eff = channel.eta * rescale_plan(spec).eta_e
-        return t_eff, t_eff * channel.xi0
-    t_eff = channel.eta * spec.eta_d
-    return t_eff, t_eff * channel.xi0 + 2.0 * spec.noise_product
+    elif scenario == TRUSTED:
+        gain, noise = rescale_plan(spec).eta_e, 0.0
+    else:
+        gain, noise = spec.eta_d, 2.0 * spec.noise_product
+    if isinstance(channel.eta, float):
+        t_eff = channel.eta * gain
+        return t_eff, t_eff * channel.xi0 + noise
+    t_effs = tuple(eta * gain for eta in channel.eta)
+    return t_effs, tuple(t * channel.xi0 + noise for t in t_effs)

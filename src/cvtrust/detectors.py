@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gaussian import (
     VACUUM_VARIANCE,
@@ -22,6 +21,9 @@ from .gaussian import (
     thermal_loss_channel,
 )
 from .jsontext import real_number
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HOMODYNE = "homodyne"
 HETERODYNE = "heterodyne"
@@ -122,6 +124,8 @@ class OutcomeDensity:
     variance: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         mean = np.array(self.mean, dtype=float, ndmin=1)
         if mean.shape not in ((1,), (2,)):
             raise ValueError("outcome mean must have one or two components")
@@ -226,6 +230,8 @@ def sample_outcomes(
         Float array of shape (density.ndim, n), one contiguous row per
         component.
     """
+    import numpy as np
+
     n = int(n)
     if n < 1:
         raise ValueError("sample count must be at least 1")

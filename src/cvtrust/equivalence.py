@@ -14,11 +14,14 @@ indistinguishable on coherent inputs:
 Sabotage modes are transforms of a pair that de-tune its scale, so the
 machinery's ability to catch a wrong reduction can be tested.
 
-scipy is imported inside the functions that call it, so the rest of the
-package (and the scan, rescale and calibrate commands) loads without it;
-both sweeps need only scipy.special.  The 32-cell Monte Carlo grid that
-the acceptance suite sweeps, and the TV of a single pair of densities,
-are test helpers in tests/helpers.py.
+numpy and scipy are imported inside the functions that call them, so the
+CLI reads and checks a sweep's config without either, and the rest of the
+package (and the scan, rescale and calibrate commands) loads without the
+lab; of scipy, both sweeps need only scipy.special.  skip_rescale_draws
+tells, before any draw, how many draws a Monte Carlo sweep needs to see a
+skipped rescale.  The 32-cell Monte Carlo grid that the acceptance suite
+sweeps, and the TV of a single pair of densities, are test helpers in
+tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -28,12 +31,10 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import cache, partial
 from itertools import product, repeat
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .detectors import (
     KINDS,
@@ -49,6 +50,9 @@ from .jsontext import (
     write_json_report,
 )
 from .rescaling import rescale_plan
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ModelPair(NamedTuple):
@@ -355,15 +359,32 @@ def _pairs(config: SweepConfig):
         yield SABOTAGE[config.sabotage](ModelPair(spec, noisy, lossy, plan.r))
 
 
+def _laws(pair: ModelPair, xy: np.ndarray) -> tuple:
+    """(left means, left variance, right means, right variance) at the amplitudes xy, the right
+    side scaled by the pair's scale as OutcomeDensity.scaled does."""
+    xy, scale = xy[:, : pair.left.ndim], pair.scale
+    left_means, right_means = pair.left.mean[0] * xy, scale * (pair.right.mean[0] * xy)
+    return left_means, pair.left.variance, right_means, (scale * scale) * pair.right.variance
+
+
 def _relative_gap(a, b, floor: float) -> np.ndarray | np.floating:
     """Largest relative gap between paired components along the last axis; equal ones give 0."""
+    import numpy as np
+
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     scale = np.maximum(floor, np.maximum(np.abs(a), np.abs(b)))
     return np.where(a == b, 0.0, np.abs(a - b) / scale).max(axis=-1)
 
 
-_HERMITE_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite_e.hermegauss(64)
-_HERMITE_WEIGHTS = _HERMITE_WEIGHTS / math.sqrt(2.0 * math.pi)
+@cache
+def _hermite() -> tuple[np.ndarray, np.ndarray]:
+    """64 Gauss-Hermite nodes and their weights against the standard normal density."""
+    import numpy as np
+
+    nodes, weights = np.polynomial.hermite_e.hermegauss(64)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
+
+
 # A disk whose radius exceeds this many node spans of the wider density
 # takes the chord route in _tv_rows.
 _WIDE_DISK = 1.5
@@ -371,6 +392,7 @@ _WIDE_DISK = 1.5
 
 def _normal_mass(lo, hi):
     """Standard normal probability of (lo, hi), taken in the thinner tail."""
+    import numpy as np
     from scipy.special import ndtr
 
     return np.where(lo > 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
@@ -378,9 +400,19 @@ def _normal_mass(lo, hi):
 
 def _disk_mass(x, nc):
     """P(chi'^2_2(nc) <= x), as scipy's ncx2.cdf computes it: chdtr at nc = 0, else chndtr."""
+    import numpy as np
     from scipy.special import chdtr, chndtr
 
     return np.where(nc == 0.0, chdtr(2.0, x), chndtr(x, 2.0, nc))
+
+
+def _crossings(d, a: float, s: float, log_s2: float) -> np.ndarray:
+    """Where N(0, 1) and N(d[i], s^2), s^2 = 1 + a > 1, cross: the roots of
+    a z^2 + 2 d z - d^2 - s^2 log s^2 in the cancellation-free form, as rows (lo, hi)."""
+    import numpy as np
+
+    q = -(d + np.copysign(s * np.sqrt(d * d + a * log_s2), d))
+    return np.sort([q / a, -(d * d + s * s * log_s2) / q], axis=0)
 
 
 def _tv_rows(m1: np.ndarray, v1: float, m2: np.ndarray, v2: float) -> np.ndarray:
@@ -407,6 +439,8 @@ def _tv_rows(m1: np.ndarray, v1: float, m2: np.ndarray, v2: float) -> np.ndarray
     the correctly rounded value; this also keeps far-apart means from
     overflowing.
     """
+    import numpy as np
+
     if v1 > v2:
         m1, v1, m2, v2 = m2, v2, m1, v1
     a = (v2 - v1) / v1
@@ -428,17 +462,15 @@ def _tv_rows(m1: np.ndarray, v1: float, m2: np.ndarray, v2: float) -> np.ndarray
     log_s2 = math.log1p(a)
     d = delta[rows]
     if m1.shape[1] == 1:
-        # Crossing points: roots of a z^2 + 2 delta z - delta^2 - s^2 log s^2,
-        # in the cancellation-free form.
-        q = -(d + np.copysign(s * np.sqrt(d * d + a * log_s2), d))
-        lo, hi = np.sort([q / a, -(d * d + s * s * log_s2) / q], axis=0)
+        lo, hi = _crossings(d, a, s, log_s2)
         gained = _normal_mass(lo, hi) - _normal_mass((lo - d) / s, (hi - d) / s)
     else:
         # The narrower density dominates inside the disk centred at
         # -delta / a of squared radius s^2 (delta^2 + 2 a log s^2) / a^2.
         nc = np.array([(x / a) ** 2 for x in d.tolist()])
         radius2 = s * s * (nc + 2.0 * log_s2 / a)
-        small = radius2 <= (_WIDE_DISK * s * _HERMITE_NODES[-1]) ** 2
+        u, weights = _hermite()
+        small = radius2 <= (_WIDE_DISK * s * u[-1]) ** 2
         gained = np.empty(d.size)
         r2, c = radius2[small], nc[small]
         gained[small] = _disk_mass(r2, c) - _disk_mass(r2 / (s * s), c * s * s)
@@ -449,9 +481,8 @@ def _tv_rows(m1: np.ndarray, v1: float, m2: np.ndarray, v2: float) -> np.ndarray
             hi = (delta * delta + 2.0 * s * s * log_s2 - a * y * y) / (half + delta)
             lo = -(half + delta) / a
             return _normal_mass((lo - shift) / scale, (hi - shift) / scale)
-        u = _HERMITE_NODES
         gained[~small] = [
-            _HERMITE_WEIGHTS @ (chord_mass(u, 0.0, 1.0, x) - chord_mass(s * u, x, s, x))
+            weights @ (chord_mass(u, 0.0, 1.0, x) - chord_mass(s * u, x, s, x))
             for x in d[~small].tolist()
         ]
     tv[rows] = np.where(gained > 0.0, np.minimum(gained, 1.0), 0.0)
@@ -471,6 +502,8 @@ _KS_BLOCK = 2**16
 def _level_blocks(xs: np.ndarray, ys: np.ndarray, side: str):
     """Per block of sorted xs, its positions i and levels i - #{y <= x_i}
     (side "right") or i - #{y < x_i} (side "left") against sorted ys."""
+    import numpy as np
+
     for start in range(0, len(xs), _KS_BLOCK):
         block = xs[start : start + _KS_BLOCK]
         i = np.arange(start, start + len(block))
@@ -567,7 +600,7 @@ def _ks_cell(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
         raise ValueError("KS samples must all have the same size")
     stat = max(_ks_statistic(xs, ys) for xs, ys in pairs)
     if n <= _KS_EXACT_MAX_N:
-        h = int(np.round(stat * n))
+        h = round(stat * n)
         stat = h * 1.0 / n
         pmin = 1.0 if h == 0 else _exact_pvalue(n, h)
     if n > _KS_EXACT_MAX_N or not 0.0 <= pmin <= 1.0:
@@ -578,14 +611,60 @@ def _ks_cell(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
 def holm_rejections(pvalues: list[float], alpha: float) -> set[int]:
     """Indices rejected by the Holm step-down procedure at level alpha."""
     m = len(pvalues)
-    order = np.argsort(pvalues, kind="stable")
+    order = sorted(range(m), key=pvalues.__getitem__)
     rejected: set[int] = set()
     for rank, idx in enumerate(order):
         if pvalues[idx] <= alpha / (m - rank):
-            rejected.add(int(idx))
+            rejected.add(idx)
         else:
             break
     return rejected
+
+
+def _kolmogorov_rows(m1: np.ndarray, v1: float, m2: np.ndarray, v2: float) -> np.ndarray:
+    """sup_x |F1(x) - F2(x)| between N(m1[i], v1) and N(m2[i], v2), 1-d, row by row.
+
+    The sup lies where the densities cross: midway between equal-variance
+    laws, else at the crossings that _tv_rows solves for, in units of the
+    narrower law's standard deviation.
+    """
+    import numpy as np
+    from scipy.special import ndtr
+
+    if v1 > v2:
+        m1, v1, m2, v2 = m2, v2, m1, v1
+    a = (v2 - v1) / v1
+    d = (m2 - m1) / math.sqrt(v1)
+    if a == 0.0:
+        return ndtr(np.abs(d) / 2.0) - ndtr(-np.abs(d) / 2.0)
+    s = math.sqrt(1.0 + a)
+    z = _crossings(d, a, s, math.log1p(a))
+    return np.abs(ndtr(z) - ndtr((z - d) / s)).max(axis=0)
+
+
+def skip_rescale_draws(config: SweepConfig) -> float | None:
+    """Draws per model at which a Monte Carlo sweep of config expects to see a skipped rescale.
+
+    Each cell's Kolmogorov distance D between the two sides of
+    SABOTAGE["skip-rescale"](pair), the larger over a heterodyne cell's
+    components, is taken in closed form.  With n draws per model a cell's
+    KS statistic is about D, and by the asymptotic tail 2 exp(-n d^2) the
+    critical value of Holm's first step, at the component level
+    ks_alpha / (cells * components), is d = sqrt(log(2 / level) / n).
+    Returns the fewest n at which some cell's D reaches it, or None when
+    no cell has a distance to detect (every r = 1).
+    """
+    import numpy as np
+
+    xy = np.array([(a.real, a.imag) for a in config.alphas])
+    draws = []
+    for pair in map(SABOTAGE["skip-rescale"], _pairs(config)):
+        m1, v1, m2, v2 = _laws(pair, xy)
+        distance = max(float(_kolmogorov_rows(x1, v1, x2, v2).max()) for x1, x2 in zip(m1.T, m2.T))
+        if distance > 0.0:
+            level = config.ks_alpha / (config.n_cells * pair.left.ndim)
+            draws.append(math.log(2.0 / level) / distance**2)
+    return min(draws, default=None)
 
 
 def _tv_floor(xy: np.ndarray, pairs: list[ModelPair]) -> float:
@@ -595,6 +674,8 @@ def _tv_floor(xy: np.ndarray, pairs: list[ModelPair]) -> float:
     (the erf) and variance sigma^2 (Devroye-Mehrabian-Reddad, arXiv:1810.08693).
     |m| peaks at the largest |Re alpha| (homodyne) or |alpha| (heterodyne) of xy.
     """
+    import numpy as np
+
     k_eps = 4.0 * 2.0**-52
     reach = {1: np.abs(xy[:, 0]).max(), 2: np.hypot(xy[:, 0], xy[:, 1]).max()}
     floor = 0.0
@@ -614,6 +695,8 @@ def analytic_sweep(config: SweepConfig) -> EquivalenceReport:
     all amplitudes as arrays.  A tv_tol below the grid's TV floor, the TV
     that rounding alone can give a faithful cell, raises ValueError.
     """
+    import numpy as np
+
     xy = np.array([(a.real, a.imag) for a in config.alphas])
     pairs = list(_pairs(config))
     floor = _tv_floor(xy, pairs)
@@ -621,12 +704,10 @@ def analytic_sweep(config: SweepConfig) -> EquivalenceReport:
         raise ValueError(f"tv_tol {config.tv_tol!r} is below the grid's TV floor {floor!r}")
     cells = []
     for pair in pairs:
-        left_means = pair.left.mean[0] * xy[:, : pair.left.ndim]
-        right_means = pair.scale * (pair.right.mean[0] * xy[:, : pair.left.ndim])
-        right_variance = (pair.scale * pair.scale) * pair.right.variance
+        laws = left_means, left_variance, right_means, right_variance = _laws(pair, xy)
         mean_gaps = _relative_gap(left_means, right_means, floor=1.0)
-        var_gap = float(_relative_gap([pair.left.variance], [right_variance], floor=0.0))
-        tvs = _tv_rows(left_means, pair.left.variance, right_means, right_variance)
+        var_gap = float(_relative_gap([left_variance], [right_variance], floor=0.0))
+        tvs = _tv_rows(*laws)
         passed = (np.maximum(mean_gaps, var_gap) <= config.param_tol) & (tvs <= config.tv_tol)
         cells += map(CellResult, config.alphas, repeat(pair.spec), mean_gaps.tolist(),
                      repeat(var_gap), tvs.tolist(), repeat(None), repeat(None), passed.tolist())
@@ -668,6 +749,8 @@ def _mc_cell(config: SweepConfig, indexed_cell: tuple) -> CellResult:
     The index picks the cell's two RNG substreams, so the result does not
     depend on which process runs the cell or in what order.
     """
+    import numpy as np
+
     index, (pair, alpha) = indexed_cell
     xy = np.array([alpha.real, alpha.imag])[: pair.left.ndim]
     left = OutcomeDensity(pair.left.mean[0] * xy, pair.left.variance)

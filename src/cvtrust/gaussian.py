@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 VACUUM_VARIANCE = 0.25
 
@@ -38,6 +40,8 @@ class GaussianState:
     variance: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         mean = np.array(self.mean, dtype=float)
         if mean.shape != (2,):
             raise ValueError("mean must be the quadrature vector (x, p)")

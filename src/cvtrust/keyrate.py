@@ -18,8 +18,6 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params
 from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec
 from .jsontext import (
@@ -385,7 +383,7 @@ def run_scan(config: ScanConfig) -> ScanTable:
 
     Detectors are harmonized once; the trusted scenario uses the detector
     whose reduced efficiency is the shared minimum.  Each scenario's
-    effective parameters come from one array-valued scenario_params call.
+    effective parameters come from one scenario_params call over all losses.
     A rate-function failure at one point is recorded in that row's status
     and the scan continues.  Rows are sorted by (scenario, loss_db).
     """
@@ -399,12 +397,12 @@ def run_scan(config: ScanConfig) -> ScanTable:
         ),
         UNTRUSTED: config.detectors[0],
     }
-    channel = ChannelSpec(np.array(config.transmittances), config.xi0)
+    channel = ChannelSpec(config.transmittances, config.xi0)
     kind, params = config.rate_kind, config.rate_params
     rows = []
     for scenario in sorted(config.scenarios):
         t_effs, xi_effs = scenario_params(channel, scenario_spec[scenario], scenario)
-        for loss_db, t_eff, xi_eff in zip(config.loss_db, t_effs.tolist(), xi_effs.tolist()):
+        for loss_db, t_eff, xi_eff in zip(config.loss_db, t_effs, xi_effs):
             try:
                 rate = float(rate_fn(t_eff, xi_eff, kind, params))
                 status = "ok"

@@ -38,11 +38,12 @@ def test_channel_spec_validation():
         ChannelSpec(0.5, -1e-6)
     with pytest.raises(ValueError):
         ChannelSpec(0.5, float("nan"))
-    # an array of transmittances is checked entry by entry
-    assert ChannelSpec(np.array([1.0, 0.5])).eta.tolist() == [1.0, 0.5]
+    # transmittances from any iterable become a tuple of floats, checked entry by entry
+    assert ChannelSpec(np.array([1.0, 0.5])).eta == (1.0, 0.5)
+    assert type(ChannelSpec([1, 0.5]).eta[0]) is float
     for bad in ([0.5, 0.0], [0.5, 1.5], [0.5, float("nan")]):
         with pytest.raises(ValueError):
-            ChannelSpec(np.array(bad))
+            ChannelSpec(tuple(bad))
 
 
 def test_channel_coherent_output_moments():
@@ -162,6 +163,6 @@ def test_scenario_params_properties(eta, xi0, eta_d, nbar, kind):
 def test_scenario_params_arrays_equal_scalar_calls(etas, xi0, eta_d, nbar, kind):
     spec = DetectorSpec(kind, eta_d, nbar=nbar)
     for scenario in SCENARIOS:
-        t_effs, xi_effs = scenario_params(ChannelSpec(np.array(etas), xi0), spec, scenario)
+        t_effs, xi_effs = scenario_params(ChannelSpec(tuple(etas), xi0), spec, scenario)
         scalar = [scenario_params(ChannelSpec(eta, xi0), spec, scenario) for eta in etas]
-        assert list(zip(t_effs.tolist(), xi_effs.tolist())) == scalar
+        assert list(zip(t_effs, xi_effs)) == scalar

@@ -197,7 +197,6 @@ def test_verify_detects_sabotage(capsys, tmp_path):
     assert payload["summary"]["rejections"] == payload["summary"]["cells"]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP M6")
 def test_mc_verify_does_not_silently_pass_a_skipped_rescale_it_cannot_detect(capsys):
     # At nu = 1e-3 and 10^4 draws no cell can tell the skipped rescale apart;
     # the sweep should exit non-zero, or warn and point to the analytic mode.
@@ -1101,7 +1100,9 @@ def test_an_out_prefix_without_a_file_name_exits_2_before_the_work(
 _SCIPY_PROBE = """
 import json, sys
 import cvtrust
+numpy_after = {"import cvtrust": "numpy" in sys.modules}
 from cvtrust.cli import main
+numpy_after["import cvtrust.cli"] = "numpy" in sys.modules
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -1112,17 +1113,23 @@ def pool_modules():
 
 after_import = pool_modules()
 out = sys.argv[1]
-codes = [
-    main(["rescale", "--kind", "homodyne", "--nu", "1e-3"]),
-    main(["calibrate", "--kind", "heterodyne", "--vacuum-variance", "0.5005"]),
-    main(["scan", "--eta-d", "0.7", "--two-nu", "1e-3", "--loss-db", "0:20:5",
-          "--out", out + "/scan"]),
-]
+codes = []
+for name, argv in (
+    ("rescale", ["rescale", "--kind", "homodyne", "--nu", "1e-3"]),
+    ("calibrate", ["calibrate", "--kind", "heterodyne", "--vacuum-variance", "0.5005"]),
+    ("scan", ["scan", "--eta-d", "0.7", "--two-nu", "1e-3", "--loss-db", "0:20:5",
+              "--out", out + "/scan"]),
+    ("usage error", ["verify", "--sabotage", "bogus", "--out", out + "/bogus"]),
+    ("help", ["verify", "--help"]),
+):
+    codes.append(main(argv))
+    numpy_after[name] = "numpy" in sys.modules
 before_verify = scipy_modules()
 pools_before_verify = pool_modules()
 one_cell = ["verify", "--eta-d", "0.7", "--nu", "1e-3", "--amplitudes", "1", "--phases", "1"]
 codes.append(main(one_cell + ["--out", out + "/verify"]))
 after_verify = scipy_modules()
+numpy_after["verify"] = "numpy" in sys.modules
 codes.append(main(one_cell + ["--mode", "mc", "--mc-samples", "10000", "--out", out + "/mc"]))
 after_mc = scipy_modules()
 # One cell runs in this process, so a lazy import on the asymptotic route would show.
@@ -1133,7 +1140,7 @@ import scipy.stats
 print(json.dumps({"codes": codes, "before_verify": before_verify,
                   "after_verify": after_verify, "after_mc": after_mc,
                   "after_tail": after_tail, "after_stats": scipy_modules(),
-                  "after_import": after_import,
+                  "after_import": after_import, "numpy_after": numpy_after,
                   "pools_before_verify": pools_before_verify}), file=sys.stderr)
 """
 
@@ -1153,8 +1160,14 @@ def test_only_verify_loads_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 2, 0, 0, 0, 0]
     assert result["before_verify"] == []
+    # numpy, too, loads only for the lab's arrays: not for the package, the
+    # CLI, rescale, calibrate --vacuum-variance, scan, a usage error or --help.
+    assert result["numpy_after"] == {
+        "import cvtrust": False, "import cvtrust.cli": False, "rescale": False,
+        "calibrate": False, "scan": False, "usage error": False, "help": False, "verify": True,
+    }
     # An analytic verify and a Monte Carlo one, on the exact route (10^4
     # draws) and the asymptotic one (10^4 + 1), need scipy.special only; the
     # control shows that the probe does see scipy.stats once it loads.
@@ -1182,6 +1195,36 @@ def test_no_package_module_imports_scipy_stats():
             assert not [m for m in names if m.split(".")[:2] == ["scipy", "stats"]], (
                 path.name, node.lineno
             )
+
+
+def _runs_on_import(node):
+    """node and every node under it that runs when its module is imported:
+    all but function bodies and `if TYPE_CHECKING:` blocks."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+            continue
+        yield from _runs_on_import(child)
+
+
+def test_no_module_but_the_ks_tail_imports_numpy_on_import():
+    # Statically, beside the probe above: numpy is imported inside the
+    # functions that work on arrays.  The lab (equivalence) is held to it
+    # too, so that verify's usage errors load no numpy; only kstail, which
+    # the Monte Carlo sweep alone imports, has module-level arrays.
+    modules = [p for p in Path(cvtrust.__file__).parent.glob("*.py") if p.stem != "kstail"]
+    assert len(modules) > 1
+    for path in modules:
+        for node in _runs_on_import(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            assert "numpy" not in roots, (path.name, node.lineno)
 
 
 def test_param_tol_below_the_floor_exits_2(capsys, tmp_path):
@@ -1215,6 +1258,9 @@ def test_verify_config_at_the_largest_amplitude_on_both_axes_passes(capsys, tmp_
         (("scan", "--eta-d", "0.7", "--nu", "1e-3", "--loss-db", "0:1"), "start:stop:step"),
         (("scan", "--eta-d", "0.7", "--nu", "1e-3", "--loss-db", "5:0:1"), "must not precede"),
         (("verify", "--amplitudes", "1,x"), "comma-separated numbers"),
+        # Both lists of names live in the lab, which checks them; argparse does not.
+        (("verify", "--mode", "quantum"), " or ".join(map(repr, SWEEPS))),
+        (("verify", "--sabotage", "bogus"), repr(SABOTAGE_MODES)),
         (("calibrate", "--kind", "homodyne", "--samples", "@missing"), "cannot read samples"),
     ]
     + [
@@ -1509,6 +1555,11 @@ def test_every_argv_ends_in_a_report_a_failed_verdict_or_one_error_line(cases, d
         assert caught == [] and written == {}
         return
     assert code == 0 or (code == 1 and command in ("verify", "calibrate"))
+    if command == "verify":  # at most a power warning, one line naming the analytic mode
+        assert err.getvalue() == "" or (
+            err.getvalue().startswith("warning: ") and err.getvalue().count("\n") == 1
+            and "--mode analytic" in err.getvalue()
+        )
     if command in ("verify", "scan"):
         assert sorted(written) == [f"{out_name}.csv", f"{out_name}.json"]
         _strict_json(written[f"{out_name}.json"])

@@ -51,6 +51,7 @@ from cvtrust.equivalence import (
     default_sweep_config,
     holm_rejections,
     monte_carlo_sweep,
+    skip_rescale_draws,
 )
 import kstwo_table
 from helpers import _tv_distance, reduced_mc_config, report_texts
@@ -757,6 +758,62 @@ def test_kstwo_sf_equals_scipy_bit_for_bit(monkeypatch):
             assert live.hex() == sf[n, d.hex()], (d, n, versions)
     with pytest.raises(ValueError, match="n > 140"):
         kstail.kstwo_sf(0.1, 140)
+
+
+def _grid_kolmogorov(m1, v1, m2, v2):
+    # sup |F1 - F2| of two normal laws on 200,001 points, ten standard
+    # deviations past both means; the grid's sup is at most the true one.
+    from scipy.special import ndtr
+
+    s1, s2 = math.sqrt(v1), math.sqrt(v2)
+    width = 10.0 * max(s1, s2)
+    x = np.linspace(min(m1, m2) - width, max(m1, m2) + width, 200_001)
+    return float(np.max(np.abs(ndtr((x - m1) / s1) - ndtr((x - m2) / s2))))
+
+
+def test_skip_rescale_kolmogorov_distance_matches_a_grid_estimate():
+    # Every component of every cell, against a skipped rescale, plus laws
+    # with the wider one first and with equal variances.
+    config = SweepConfig(
+        alphas=default_alpha_grid((0.0, 1.0, 5.0), 3),
+        specs=default_spec_grid((0.5, 0.9), (0.0, 1e-3, 1e-1)),
+        sabotage="skip-rescale",
+    )
+    xy = np.array([(a.real, a.imag) for a in config.alphas])
+    rows = []
+    for pair in equivalence._pairs(config):
+        m1, v1, m2, v2 = equivalence._laws(pair, xy)
+        rows += [(m1[:, c], v1, m2[:, c], v2) for c in range(pair.left.ndim)]
+    rows += [
+        (np.array([0.0, 0.5, -3.0]), 1.0, np.array([0.0, 0.0, 0.0]), 1.0),
+        (np.array([0.0, 0.5, -3.0]), 2.0, np.array([0.3, 0.0, 0.0]), 0.25),
+    ]
+    for m1, v1, m2, v2 in rows:
+        closed = equivalence._kolmogorov_rows(m1, v1, m2, v2)
+        grid = np.array([_grid_kolmogorov(a, v1, b, v2) for a, b in zip(m1, m2)])
+        assert np.all(closed - grid >= -1e-15) and np.all(closed - grid <= 1e-8)
+
+
+def test_skip_rescale_draws_reach_the_critical_value_of_holms_first_step():
+    # One homodyne cell: its two sides, N(sqrt(eta_d) alpha, 1/4 + nu/2)
+    # and N(sqrt(eta_d) alpha / r, 1/4), reach sqrt(log(2 / level) / n) at
+    # n = log(2 / level) / D^2, with level = ks_alpha / cells.
+    spec = DetectorSpec.from_noise_product(HOMODYNE, 0.9, nu=1e-3)
+    config = SweepConfig(alphas=(3.0,), specs=(spec,), ks_alpha=0.01)
+    mean, r = math.sqrt(0.9) * 3.0, rescale_plan(spec).r
+    distance = _grid_kolmogorov(mean, 0.25 + 1e-3 / 2, mean / r, 0.25)
+    assert skip_rescale_draws(config) == pytest.approx(math.log(200.0) / distance**2, rel=1e-6)
+    # With every r = 1 a skipped rescale changes nothing.
+    assert skip_rescale_draws(replace(config, specs=default_spec_grid(nus=(0.0,)))) is None
+    # The default grid, and eta_d 0.7 at nu = 1e-2, detect it below 10^4
+    # draws; eta_d 0.9 needs about 7e5 at nu = 1e-3, and more than
+    # MAX_MC_SAMPLES at nu = 1e-4.
+    assert skip_rescale_draws(default_sweep_config()) < 10**4
+    draws = [
+        skip_rescale_draws(default_sweep_config(specs=default_spec_grid((eta_d,), (nu,))))
+        for eta_d, nu in ((0.7, 1e-2), (0.9, 1e-3), (0.9, 1e-4))
+    ]
+    assert draws[0] < 10**4 < 5e5 < draws[1] < 1e6 < MAX_MC_SAMPLES < draws[2]
 
 
 def test_holm_rejections_step_down():
