@@ -6,9 +6,9 @@ quadrature variance, so a coherent input beta leaves with mean
 sqrt(eta) beta and per-quadrature variance (1 + eta xi0) / 4.
 
 Effective channel parameters (t_eff, xi_eff) summarize what a key-rate
-evaluator sees under three accounting scenarios for the detector.  xi_eff
-uses additive outcome-variance units: a homodyne measurement of a coherent
-carrier sees variance (1 + xi_eff) / 4 at transmittance t_eff.
+evaluator sees in each detector-accounting scenario, a SCENARIO_TABLE entry
+that picks the detector and folds it to (gain, noise): t_eff = eta gain and
+xi_eff = t_eff xi0 + noise, so homodyne on a coherent carrier sees (1 + xi_eff) / 4.
 """
 
 from __future__ import annotations
@@ -23,7 +23,28 @@ from .rescaling import rescale_plan
 IDEAL = "ideal"
 TRUSTED = "trusted"
 UNTRUSTED = "untrusted"
-SCENARIOS = (IDEAL, TRUSTED, UNTRUSTED)
+
+
+def _shared_detector(detectors: tuple[DetectorSpec, ...]) -> DetectorSpec:
+    """The first detector, once every detector shares its (eta_d, nbar)."""
+    if len({(d.eta_d, d.nbar) for d in detectors}) > 1:
+        raise ValueError(
+            "the untrusted scenario needs all detectors to share "
+            "(eta_d, nbar); got mixed parameters"
+        )
+    return detectors[0]
+
+
+# scenario: (pick(detectors) -> spec | None, fold(spec) -> (gain, noise)); gain 1, noise 0 exact.
+SCENARIO_TABLE = {
+    IDEAL: (lambda detectors: None, lambda spec: (1.0, 0.0)),
+    TRUSTED: (
+        lambda detectors: min(detectors, key=lambda d: rescale_plan(d).eta_e),
+        lambda spec: (rescale_plan(spec).eta_e, 0.0),
+    ),
+    UNTRUSTED: (_shared_detector, lambda spec: (spec.eta_d, 2.0 * spec.noise_product)),
+}
+SCENARIOS = tuple(SCENARIO_TABLE)
 
 
 @dataclass(frozen=True)
@@ -82,16 +103,13 @@ def scenario_params(
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    # t = eta * gain and xi = t * xi0 + noise; a gain of 1 and a noise of 0
-    # are exact, so each scenario rounds only where its formula does.
-    if scenario == IDEAL:
-        gain, noise = 1.0, 0.0
-    elif spec is None:
+    if spec is None and scenario != IDEAL:
         raise ValueError(f"the {scenario} scenario requires a detector spec")
-    elif scenario == TRUSTED:
-        gain, noise = rescale_plan(spec).eta_e, 0.0
-    else:
-        gain, noise = spec.eta_d, 2.0 * spec.noise_product
+    gain, noise = SCENARIO_TABLE[scenario][1](spec)
+    # xi never falls as t rises, rounding included: the largest eta bounds all.
+    top = channel.eta if isinstance(channel.eta, float) else max(channel.eta)
+    if not math.isfinite(top * gain * channel.xi0 + noise):
+        raise ValueError(f"the {scenario} scenario's excess noise xi_eff overflows")
     if isinstance(channel.eta, float):
         t_eff = channel.eta * gain
         return t_eff, t_eff * channel.xi0 + noise

@@ -30,6 +30,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
+from .channel import SCENARIOS
 from .detectors import HOMODYNE, KINDS, DetectorSpec, checked_nu
 from .jsontext import json_object
 from .jsontext import json_text as _json_text
@@ -200,7 +201,7 @@ def _sweep_config_from_args(args: argparse.Namespace) -> tuple[SweepConfig, str]
         mode = config_data.pop("mode", "analytic")
     else:
         config_data.pop("mode", None)
-    if mode not in SWEEPS:
+    if not isinstance(mode, str) or mode not in SWEEPS:
         raise ValueError(f"mode must be {' or '.join(map(repr, SWEEPS))}, got {mode!r}")
     if config_data:
         base = SweepConfig.from_json_dict(config_data)
@@ -329,9 +330,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         head.setdefault(scenario, rate)
         if status == "ok" and rate > 0:
             limit[scenario] = loss_db
-    for scenario in sorted(config.scenarios):
+    for scenario, rate in head.items():
         positive = f"{limit[scenario]:g}" if scenario in limit else "none"
-        print(f"{scenario:<10} {head.get(scenario, math.nan):>16.6e} {positive:>18}")
+        print(f"{scenario:<10} {rate:>16.6e} {positive:>18}")
     print(f"wrote {json_path} and {csv_path}")
     return 0
 
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--two-nu", type=float, help="2 nbar(1-eta_d)")
     p_scan.add_argument("--xi0", type=float, help="channel excess noise")
     p_scan.add_argument("--loss-db", help="start:stop:step, a comma list, or one value")
-    p_scan.add_argument("--scenarios", help="comma list from ideal,trusted,untrusted")
+    p_scan.add_argument("--scenarios", help=f"comma list from {','.join(SCENARIOS)}")
     p_scan.add_argument("--rate", choices=sorted(RATE_FUNCTIONS))
     p_scan.add_argument("--va", type=float, help="modulation variance (shot-noise units)")
     p_scan.add_argument("--beta", type=float, help="reconciliation efficiency")

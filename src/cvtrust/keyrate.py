@@ -18,7 +18,7 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
-from .channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params
+from .channel import SCENARIO_TABLE, SCENARIOS, ChannelSpec, scenario_params
 from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec
 from .jsontext import (
     finite_reprs, json_dataclass, json_dataclasses, json_list, json_object_template, real_number,
@@ -199,8 +199,9 @@ class ScanConfig:
         rate_params: Auxiliary parameters passed to the rate function.
 
     The validated config also holds transmittances, each loss as the power
-    transmittance that loss_db_to_transmittance gives.  It is derived, not
-    a field, so the config's JSON does not carry it.
+    transmittance that loss_db_to_transmittance gives, and scenario_detectors,
+    each scenario's SCENARIO_TABLE pick.  They are derived, not fields, so the
+    config's JSON does not carry them.
     """
 
     loss_db: tuple[float, ...]
@@ -248,14 +249,8 @@ class ScanConfig:
         if not isinstance(self.rate_name, str):
             raise ValueError(f"rate_name must be a string, got {self.rate_name!r}")
         get_rate_function(self.rate_name)
-        if UNTRUSTED in self.scenarios:
-            first = self.detectors[0]
-            for d in self.detectors[1:]:
-                if d.eta_d != first.eta_d or d.nbar != first.nbar:
-                    raise ValueError(
-                        "the untrusted scenario needs all detectors to share "
-                        "(eta_d, nbar); got mixed parameters"
-                    )
+        picks = {s: SCENARIO_TABLE[s][0](self.detectors) for s in self.scenarios}
+        object.__setattr__(self, "scenario_detectors", picks)
 
     @property
     def rate_kind(self) -> str:
@@ -381,27 +376,18 @@ def loss_db_to_transmittance(loss_db: float) -> float:
 def run_scan(config: ScanConfig) -> ScanTable:
     """Evaluate the configured scenarios over the loss grid.
 
-    Detectors are harmonized once; the trusted scenario uses the detector
-    whose reduced efficiency is the shared minimum.  Each scenario's
-    effective parameters come from one scenario_params call over all losses.
+    Each scenario's effective parameters come from one scenario_params call
+    over all losses, at the detector config.scenario_detectors holds for it.
     A rate-function failure at one point is recorded in that row's status
     and the scan continues.  Rows are sorted by (scenario, loss_db).
     """
     rate_fn = get_rate_function(config.rate_name)
-    harmonized = harmonize(config.detectors)
-    eta_e_min = harmonized.eta_e_min
-    scenario_spec = {
-        IDEAL: None,
-        TRUSTED: next(
-            a.spec for a in harmonized.adjustments if a.base_plan.eta_e == eta_e_min
-        ),
-        UNTRUSTED: config.detectors[0],
-    }
+    eta_e_min = harmonize(config.detectors).eta_e_min
     channel = ChannelSpec(config.transmittances, config.xi0)
     kind, params = config.rate_kind, config.rate_params
     rows = []
     for scenario in sorted(config.scenarios):
-        t_effs, xi_effs = scenario_params(channel, scenario_spec[scenario], scenario)
+        t_effs, xi_effs = scenario_params(channel, config.scenario_detectors[scenario], scenario)
         for loss_db, t_eff, xi_eff in zip(config.loss_db, t_effs, xi_effs):
             try:
                 rate = float(rate_fn(t_eff, xi_eff, kind, params))

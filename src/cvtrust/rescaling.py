@@ -59,8 +59,14 @@ class RescalePlan:
         r_squared = self.r_squared
         if not math.isfinite(r_squared):
             raise ValueError(f"noise product nu = {self.nu} makes the {self.kind} r^2 overflow")
+        eta_e = self.eta_d / r_squared
+        if eta_e == 0.0:
+            raise ValueError(
+                f"eta_d = {self.eta_d!r} at noise product nu = {self.nu} underflows "
+                f"to zero {self.kind} reduced efficiency"
+            )
         object.__setattr__(self, "r", math.sqrt(r_squared))
-        object.__setattr__(self, "eta_e", self.eta_d / r_squared)
+        object.__setattr__(self, "eta_e", eta_e)
 
     @property
     def r_squared(self) -> float:
@@ -91,7 +97,7 @@ def rescale_plan(spec: DetectorSpec) -> RescalePlan:
         The plan (r, eta_e) with eta_e * r^2 = eta_d.
 
     Raises:
-        ValueError: If r^2 overflows.
+        ValueError: If r^2 overflows or eta_e underflows to zero.
     """
     return RescalePlan(spec.kind, spec.eta_d, spec.nbar, spec.noise_product)
 

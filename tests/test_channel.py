@@ -118,6 +118,14 @@ def test_scenario_params_validation():
     for scenario in (TRUSTED, UNTRUSTED):
         with pytest.raises(ValueError):
             scenario_params(channel, scenario=scenario)
+    # an excess noise that overflows is named at the fold, for a float or a
+    # tuple of transmittances: 2 nu is infinite, or t xi0 + 2 nu overflows
+    noisy = DetectorSpec(HETERODYNE, 0.01, nbar=1.79e308)
+    loud = DetectorSpec(HETERODYNE, 0.5, nbar=1e308)
+    for eta in (1.0, (0.5, 1.0, 0.25)):
+        for channel, spec in ((ChannelSpec(eta), noisy), (ChannelSpec(eta, 1.7e308), loud)):
+            with pytest.raises(ValueError, match="^the untrusted scenario's excess noise xi_eff"):
+                scenario_params(channel, spec, UNTRUSTED)
 
 
 def test_scenario_constants():

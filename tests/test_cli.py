@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cvtrust
+from cvtrust.channel import SCENARIOS
 from cvtrust.cli import _json_text, _parse_loss_grid, _write_atomic, main
 from cvtrust.detectors import KINDS, DetectorSpec
 from cvtrust.equivalence import (
@@ -491,12 +492,39 @@ def test_inputs_that_would_reach_a_report_as_nan_or_infinity_exit_2(capsys, tmp_
         (("scan", "--eta-d", "1", "--nu", "0.1", "--out", "bad"), "eta_d = 1.0"),
         (("verify", "--eta-d", "1", "--nu", "0.1", "--out", "bad"), "eta_d = 1.0"),
         (("rescale", "--kind", "homodyne", "--two-nu=-2"), "noise product two_nu must"),
+        # The untrusted xi_eff overflows at its fold, not at the report
+        # writer: 2 nu is infinite, or t xi0 + 2 nu overflows.
+        (
+            ("scan", "--eta-d", "0.01", "--nbar", "1.79e308", "--loss-db", "0", "--out", "bad"),
+            "the untrusted scenario's excess noise xi_eff overflows",
+        ),
+        (
+            (
+                "scan", "--eta-d", "0.5", "--nbar", "1e308", "--xi0", "1.7e308", "--loss-db", "0",
+                "--out", "bad",
+            ),
+            "the untrusted scenario's excess noise xi_eff overflows",
+        ),
+        # eta_e = eta_d / r^2 underflows to zero: the fault is the pair given.
+        (
+            ("rescale", "--kind", "homodyne", "--eta-d", "1e-300", "--nbar", "1e300"),
+            "eta_d = 1e-300",
+        ),
+        (("scan", "--eta-d", "1e-300", "--nbar", "1e300", "--out", "bad"), "eta_d = 1e-300"),
+        (
+            (
+                "verify", "--eta-d", "1e-300", "--nu", "1e300", "--kind", "heterodyne",
+                "--out", "bad",
+            ),
+            "eta_d = 1e-300",
+        ),
     ],
     ids=[
         "rescale-limit-nbar", "verify-amplitude-1e7", "verify-mc-amplitude-1e300",
         "scan-duplicate-scenario", "rescale-nbar-overflow", "scan-nbar-overflow",
         "verify-nbar-overflow", "scan-unit-efficiency", "verify-unit-efficiency",
-        "rescale-limit-negative-two-nu",
+        "rescale-limit-negative-two-nu", "scan-xi-eff-overflow-2nu", "scan-xi-eff-overflow-sum",
+        "rescale-eta-e-underflow", "scan-eta-e-underflow", "verify-eta-e-underflow",
     ],
 )
 def test_inputs_the_reduction_cannot_honour_exit_2_naming_the_flag_or_key(
@@ -806,6 +834,8 @@ def test_json_report_equals_the_json_text_of_the_whole(head, key, items):
         ("verify", '"ks_alpha": false', "ks_alpha"),
         ("verify", '"sabotage": {}', "sabotage"),
         ("verify", '"sabotage": [1]', "sabotage"),
+        ("verify", '"mode": []', "mode"),
+        ("verify", '"mode": {}', "mode"),
         ("verify", '"alphas": [[true, 0]]', "alphas[0]"),
         ("verify", '"specs": [{"kind": "homodyne", "eta_d": 0.7, "nbar": false}]', "nbar"),
         ("scan", '"scenarios": 5', "scenarios"),
@@ -1195,6 +1225,20 @@ def test_no_package_module_imports_scipy_stats():
             assert not [m for m in names if m.split(".")[:2] == ["scipy", "stats"]], (
                 path.name, node.lineno
             )
+
+
+def test_no_module_but_channel_names_a_scenario():
+    # Statically: each scenario is one SCENARIO_TABLE entry, so no other
+    # module spells a scenario's name or imports its constant.
+    modules = [p for p in Path(cvtrust.__file__).parent.glob("*.py") if p.stem != "channel"]
+    assert len(modules) > 1
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant):
+                assert node.value not in SCENARIOS, (path.name, node.lineno)
+            elif isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+                assert not names & {"IDEAL", "TRUSTED", "UNTRUSTED"}, (path.name, node.lineno)
 
 
 def _runs_on_import(node):

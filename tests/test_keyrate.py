@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvtrust.channel import IDEAL, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params
+from cvtrust.channel import (
+    IDEAL, SCENARIO_TABLE, SCENARIOS, TRUSTED, UNTRUSTED, ChannelSpec, scenario_params,
+)
 from cvtrust.detectors import HETERODYNE, HOMODYNE, DetectorSpec
 from cvtrust.jsontext import json_text
 from cvtrust.keyrate import (
@@ -27,7 +29,7 @@ from cvtrust.keyrate import (
     reference_rate,
     run_scan,
 )
-from cvtrust.rescaling import rescale_plan
+from cvtrust.rescaling import harmonize, rescale_plan
 from helpers import report_texts
 
 HET_SPEC = DetectorSpec.from_noise_product(HETERODYNE, 0.7, two_nu=1e-3)
@@ -295,6 +297,43 @@ def test_scan_config_untrusted_needs_matched_detectors():
     het_scan_config(detectors=(HOM_SPEC, HET_SPEC), protocol="hybrid")
     # mixed parameters are fine once untrusted is dropped
     het_scan_config(detectors=mixed, protocol="hybrid", scenarios=(IDEAL, TRUSTED))
+
+
+def test_scenario_table_picks_and_folds_a_hybrid_pair():
+    # The heterodyne detector comes first and has the larger eta_e, so the
+    # trusted pick (least eta_e) and the untrusted one (detectors[0]) differ.
+    config = het_scan_config(detectors=(HET_SPEC, HOM_SPEC), protocol="hybrid")
+    assert rescale_plan(HET_SPEC).eta_e == 0.6996501749125438
+    assert rescale_plan(HOM_SPEC).eta_e == 0.6993006993006994
+    picks = {IDEAL: None, TRUSTED: HOM_SPEC, UNTRUSTED: HET_SPEC}
+    assert {s: pick(config.detectors) for s, (pick, _) in SCENARIO_TABLE.items()} == picks
+    assert config.scenario_detectors == picks
+    assert "scenario_detectors" not in config.to_json_dict()
+    # Each fold's (gain, noise), exact to the bit, and scenario_params folds it
+    # over the grid as t = eta gain and xi = t xi0 + noise.
+    folds = {IDEAL: (1.0, 0.0), TRUSTED: (0.6993006993006994, 0.0), UNTRUSTED: (0.7, 0.001)}
+    channel = ChannelSpec(config.transmittances, config.xi0)
+    for scenario, (_, fold) in SCENARIO_TABLE.items():
+        gain, noise = fold(picks[scenario])
+        assert (gain.hex(), noise.hex()) == tuple(x.hex() for x in folds[scenario])
+        t_effs = tuple(eta * gain for eta in config.transmittances)
+        expected = (t_effs, tuple(t * config.xi0 + noise for t in t_effs))
+        assert scenario_params(channel, picks[scenario], scenario) == expected
+    # The trusted pick is the first detector of harmonize's eta_e_min, ties too.
+    tied = DetectorSpec.from_noise_product(HETERODYNE, 0.7, two_nu=2e-3)
+    pair = (tied, HOM_SPEC)
+    assert rescale_plan(tied).eta_e == harmonize(pair).eta_e_min == rescale_plan(HOM_SPEC).eta_e
+    assert SCENARIO_TABLE[TRUSTED][0](pair) is tied
+    # The untrusted pick refuses mixed (eta_d, nbar), in the words ScanConfig used.
+    mixed = (HET_SPEC, DetectorSpec(HOMODYNE, 0.8, nbar=HET_SPEC.nbar))
+    message = (
+        r"^the untrusted scenario needs all detectors to share \(eta_d, nbar\); "
+        r"got mixed parameters$"
+    )
+    with pytest.raises(ValueError, match=message):
+        SCENARIO_TABLE[UNTRUSTED][0](mixed)
+    with pytest.raises(ValueError, match=message):
+        het_scan_config(detectors=mixed, protocol="hybrid")
 
 
 def test_rate_kind_per_protocol():

@@ -141,6 +141,20 @@ def test_finite_plan_rejects_an_overflowing_r_squared():
     assert math.isfinite(rescale_plan(DetectorSpec(HETERODYNE, 0.1, nbar=1e308)).r)
 
 
+def test_finite_plan_rejects_a_reduced_efficiency_that_underflows_to_zero():
+    # eta_d / r^2 = 1e-300 / (1 + 2e300) rounds to 0.0; at nbar = 1e20 it is subnormal.
+    for kind in (HOMODYNE, HETERODYNE):
+        with pytest.raises(
+            ValueError,
+            match=f"^eta_d = 1e-300 at noise product nu = 1e[+]300 underflows "
+            f"to zero {kind} reduced efficiency$",
+        ):
+            rescale_plan(DetectorSpec(kind, 1e-300, nbar=1e300))
+        assert rescale_plan(DetectorSpec(kind, 1e-300, nbar=1e20)).eta_e > 0.0
+    # the limit form has eta_d = 1 and a finite r^2, so 1 / r^2 stays above zero
+    assert rescale_plan_limit(1e308, HETERODYNE).eta_e > 0.0
+
+
 @pytest.mark.parametrize("name", ["r", "eta_e"])
 def test_plan_derives_r_and_eta_e_and_takes_neither(name):
     spec = DetectorSpec(HOMODYNE, 0.9, nbar=0.5)
