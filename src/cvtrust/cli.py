@@ -34,12 +34,7 @@ from .channel import SCENARIOS
 from .detectors import HOMODYNE, KINDS, DetectorSpec, checked_nu
 from .jsontext import json_object
 from .jsontext import json_text as _json_text
-from .keyrate import (
-    PROTOCOLS,
-    RATE_FUNCTIONS,
-    ScanConfig,
-    run_scan,
-)
+from .keyrate import PROTOCOL_TABLE, PROTOCOLS, RATE_FUNCTIONS, ScanConfig, run_scan
 from .rescaling import (
     CalibrationFailed,
     noise_figure_from_vacuum_variance,
@@ -184,11 +179,10 @@ def cmd_rescale(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_config_from_args(args: argparse.Namespace) -> tuple[SweepConfig, str]:
+def _sweep_config_from_args(args: argparse.Namespace) -> SweepConfig:
     from .equivalence import (
         DEFAULT_AMPLITUDES,
         DEFAULT_PHASES,
-        SWEEPS,
         SweepConfig,
         default_alpha_grid,
         default_spec_grid,
@@ -196,17 +190,12 @@ def _sweep_config_from_args(args: argparse.Namespace) -> tuple[SweepConfig, str]
     )
 
     config_data = _load_config(args.config)
-    mode = args.mode
-    if mode is None:
-        mode = config_data.pop("mode", "analytic")
-    else:
-        config_data.pop("mode", None)
-    if not isinstance(mode, str) or mode not in SWEEPS:
-        raise ValueError(f"mode must be {' or '.join(map(repr, SWEEPS))}, got {mode!r}")
-    if config_data:
+    if args.mode is not None:
+        config_data["mode"] = args.mode
+    if config_data.keys() - {"mode"}:
         base = SweepConfig.from_json_dict(config_data)
-    else:
-        base = default_sweep_config()
+    else:  # the default grid, in the mode given if any
+        base = default_sweep_config(**config_data)
     overrides = {}
     if args.eta_d or args.nu is not None or args.kind:
         kinds = KINDS if args.kind is None else (args.kind,)
@@ -233,20 +222,20 @@ def _sweep_config_from_args(args: argparse.Namespace) -> tuple[SweepConfig, str]
         base = replace(base, **overrides)
     if base.n_cells > MAX_GRID_POINTS:
         raise ValueError(f"alphas x specs is {base.n_cells} cells, more than {MAX_GRID_POINTS}")
-    return base, mode
+    return base
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .equivalence import MAX_MC_SAMPLES, SWEEPS, skip_rescale_draws
 
     json_path, csv_path = _out_paths(args.out, ".json", ".csv")
-    config, mode = _sweep_config_from_args(args)
-    needed = skip_rescale_draws(config) if mode == "mc" else None
-    report = SWEEPS[mode](config)
+    config = _sweep_config_from_args(args)
+    needed = skip_rescale_draws(config) if config.mode == "mc" else None
+    report = SWEEPS[config.mode](config)
     _write_atomic([json_path, csv_path], report.write_reports)
     verdict = "PASS" if report.passed else "FAIL"
     print(
-        f"{verdict} {mode} sweep: {len(report.cells)} cells, "
+        f"{verdict} {config.mode} sweep: {len(report.cells)} cells, "
         f"worst mean gap {report.worst_mean_gap:.3e}, "
         f"worst var gap {report.worst_var_gap:.3e}, "
         f"rejections {report.n_rejections}"
@@ -281,8 +270,9 @@ def _scan_config_from_args(args: argparse.Namespace) -> ScanConfig:
     config_data = _load_config(args.config)
     detector_flags = (args.eta_d, args.nbar, args.nu, args.two_nu)
     if any(v is not None for v in detector_flags):
-        protocol = args.protocol or config_data.get("protocol") or "heterodyne"
-        kinds = ("heterodyne",) if protocol == "heterodyne" else ("homodyne", "heterodyne")
+        protocol = args.protocol or config_data.get("protocol") or ScanConfig.protocol
+        # An unknown protocol gets both kinds, for ScanConfig to refuse it by name.
+        kinds = PROTOCOL_TABLE[protocol][1] if protocol in PROTOCOLS else KINDS
         detectors = tuple(
             _detector_from_noise_flags(kind, args.eta_d, args.nbar, args.nu, args.two_nu)
             for kind in kinds

@@ -14,14 +14,15 @@ indistinguishable on coherent inputs:
 Sabotage modes are transforms of a pair that de-tune its scale, so the
 machinery's ability to catch a wrong reduction can be tested.
 
-numpy and scipy are imported inside the functions that call them, so the
-CLI reads and checks a sweep's config without either, and the rest of the
-package (and the scan, rescale and calibrate commands) loads without the
-lab; of scipy, both sweeps need only scipy.special.  skip_rescale_draws
-tells, before any draw, how many draws a Monte Carlo sweep needs to see a
-skipped rescale.  The 32-cell Monte Carlo grid that the acceptance suite
-sweeps, and the TV of a single pair of densities, are test helpers in
-tests/helpers.py.
+A SweepConfig names the SWEEPS entry the CLI runs in its mode field, read
+like every other key.  numpy and scipy are imported inside the functions
+that call them, so the CLI reads and checks a sweep's config without
+either, and the rest of the package (and the scan, rescale and calibrate
+commands) loads without the lab; of scipy, both sweeps need only
+scipy.special.  skip_rescale_draws tells, before any draw, how many draws
+a Monte Carlo sweep needs to see a skipped rescale.  The 32-cell Monte
+Carlo grid that the acceptance suite sweeps, and the TV of a single pair
+of densities, are test helpers in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .detectors import (
 )
 from .gaussian import coherent_state
 from .jsontext import (
-    finite_reprs, json_dataclass, json_dataclasses, json_list, json_object_template, real_number,
+    finite_reprs, json_config, json_dataclasses, json_list, json_object_template, real_number,
     write_json_report,
 )
 from .rescaling import rescale_plan
@@ -108,6 +109,7 @@ class SweepConfig:
             analytic_sweep refuses one below the grid's TV floor.
         ks_alpha: Family-wise level of the Holm-corrected KS tests.
         sabotage: The SABOTAGE mode that transforms each spec's pair.
+        mode: The SWEEPS entry that the CLI runs on this config.
     """
 
     alphas: tuple[complex, ...]
@@ -118,8 +120,11 @@ class SweepConfig:
     tv_tol: float = 1e-9
     ks_alpha: float = 0.01
     sabotage: str = "none"
+    mode: str = "analytic"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, str) or self.mode not in SWEEPS:
+            raise ValueError(f"mode must be {' or '.join(map(repr, SWEEPS))}, got {self.mode!r}")
         object.__setattr__(self, "alphas", tuple(complex(a) for a in self.alphas))
         object.__setattr__(self, "specs", tuple(self.specs))
         if not self.alphas:
@@ -161,18 +166,10 @@ class SweepConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepConfig":
-        data = dict(data)
-        schema = data.pop("schema", "cvtrust/verify-config/1")
-        if schema != "cvtrust/verify-config/1":
-            raise ValueError(f"unsupported sweep config schema {schema!r}")
-        try:
-            return json_dataclass(
-                cls, "config", data,
-                alphas=_json_alphas,
-                specs=partial(json_dataclasses, DetectorSpec),
-            )
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed sweep config: {exc}") from exc
+        return json_config(
+            cls, "cvtrust/verify-config/1", "sweep", data,
+            alphas=_json_alphas, specs=partial(json_dataclasses, DetectorSpec),
+        )
 
 
 def _json_alphas(name: str, value) -> tuple[complex, ...]:

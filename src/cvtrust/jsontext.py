@@ -73,6 +73,20 @@ def json_dataclass(cls, name: str, value, **readers):
     return cls(**{**value, **read})
 
 
+def json_config(cls, schema: str, kind: str, data: dict, **readers):
+    """cls read by json_dataclass from the config object data, whose "schema" key, if
+    given, must be schema (else ValueError "unsupported <kind> config schema ...");
+    a key fault or an overflow is a ValueError "malformed <kind> config: ..."."""
+    data = dict(data)
+    given = data.pop("schema", schema)
+    if given != schema:
+        raise ValueError(f"unsupported {kind} config schema {given!r}")
+    try:
+        return json_dataclass(cls, "config", data, **readers)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {kind} config: {exc}") from exc
+
+
 def json_dataclasses(cls, name: str, value) -> tuple:
     """A JSON array of objects as a tuple of cls, item i read by json_dataclass as name[i]."""
     return tuple(json_dataclass(cls, f"{name}[{i}]", v) for i, v in enumerate(json_list(name, value)))

@@ -5,7 +5,9 @@ channel under each accounting scenario, and hands the effective
 (t_eff, xi_eff) pair to a rate function.  Rate functions are pluggable and
 looked up by name; the shipped default evaluates the textbook asymptotic
 key rate of a Gaussian-modulated coherent-state protocol with reverse
-reconciliation against collective attacks.
+reconciliation against collective attacks.  Each protocol's rate kind and
+receiver are one PROTOCOL_TABLE entry, which ScanConfig checks the
+detectors against.
 """
 
 from __future__ import annotations
@@ -21,12 +23,17 @@ from typing import Callable, NamedTuple
 from .channel import SCENARIO_TABLE, SCENARIOS, ChannelSpec, scenario_params
 from .detectors import HETERODYNE, HOMODYNE, KINDS, DetectorSpec
 from .jsontext import (
-    finite_reprs, json_dataclass, json_dataclasses, json_list, json_object_template, real_number,
-    write_json_report,
+    finite_reprs, json_config, json_dataclass, json_dataclasses, json_list, json_object_template,
+    real_number, write_json_report,
 )
 from .rescaling import harmonize
 
-PROTOCOLS = ("heterodyne", "hybrid")
+# protocol: (the kind the rate models, the receiver's detector kinds in order)
+PROTOCOL_TABLE = {
+    "heterodyne": (HETERODYNE, (HETERODYNE,)),
+    "hybrid": (HOMODYNE, (HOMODYNE, HETERODYNE)),
+}
+PROTOCOLS = tuple(PROTOCOL_TABLE)
 
 
 @dataclass(frozen=True)
@@ -191,10 +198,13 @@ class ScanConfig:
         xi0: Input-referred channel excess noise.
         detectors: The receiver's detectors; one for the all-heterodyne
             protocol, typically a homodyne/heterodyne pair for hybrid.
+            Each has one of the protocol's receiver kinds, and at least one
+            the kind the rate models, which measures the key.
         scenarios: Which accounting scenarios to evaluate.
-        protocol: "heterodyne" or "hybrid"; fixes which measurement the
-            rate evaluator models (heterodyne, or homodyne for the hybrid
-            protocol's key quadrature).
+        protocol: A PROTOCOL_TABLE key, "heterodyne" or "hybrid"; fixes
+            which measurement the rate evaluator models (heterodyne, or
+            homodyne for the hybrid protocol's key quadrature) and the
+            receiver's detector kinds.
         rate_name: Registry name of the rate function.
         rate_params: Auxiliary parameters passed to the rate function.
 
@@ -246,6 +256,17 @@ class ScanConfig:
             raise ValueError(f"scenarios must not repeat, got {list(self.scenarios)}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
+        key_kind, receiver = PROTOCOL_TABLE[self.protocol]
+        for d in self.detectors:
+            if d.kind not in receiver:
+                raise ValueError(
+                    f"the {self.protocol} protocol's receiver has no {d.kind} detector; "
+                    f"its kinds are {receiver}"
+                )
+        if all(d.kind != key_kind for d in self.detectors):
+            raise ValueError(
+                f"the {self.protocol} protocol needs a {key_kind} detector, which measures its key"
+            )
         if not isinstance(self.rate_name, str):
             raise ValueError(f"rate_name must be a string, got {self.rate_name!r}")
         get_rate_function(self.rate_name)
@@ -255,7 +276,7 @@ class ScanConfig:
     @property
     def rate_kind(self) -> str:
         """Measurement the rate evaluator models for this protocol."""
-        return HETERODYNE if self.protocol == "heterodyne" else HOMODYNE
+        return PROTOCOL_TABLE[self.protocol][0]
 
     def to_json_dict(self) -> dict:
         # asdict(self) would deep-copy every loss value; only the nested
@@ -269,20 +290,11 @@ class ScanConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScanConfig":
-        data = dict(data)
-        schema = data.pop("schema", "cvtrust/scan-config/1")
-        if schema != "cvtrust/scan-config/1":
-            raise ValueError(f"unsupported scan config schema {schema!r}")
-        try:
-            return json_dataclass(
-                cls, "config", data,
-                detectors=partial(json_dataclasses, DetectorSpec),
-                loss_db=json_list,
-                scenarios=json_list,
-                rate_params=partial(json_dataclass, RateParams),
-            )
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed scan config: {exc}") from exc
+        return json_config(
+            cls, "cvtrust/scan-config/1", "scan", data,
+            detectors=partial(json_dataclasses, DetectorSpec), loss_db=json_list,
+            scenarios=json_list, rate_params=partial(json_dataclass, RateParams),
+        )
 
 
 class ScanRow(NamedTuple):

@@ -252,6 +252,30 @@ def test_verify_config_roundtrip_is_byte_identical(capsys, tmp_path):
     assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, cls",
+    [
+        (("verify", "--eta-d", "0.7", "--nu", "1e-3", "--amplitudes", "0,1", "--phases", "2"),
+         SweepConfig),
+        (("verify", "--mode", "mc", "--mc-samples", "10000", "--eta-d", "0.7", "--nu", "1e-3",
+          "--amplitudes", "1", "--phases", "1"), SweepConfig),
+    ]
+    + [
+        (("scan", "--protocol", protocol, "--eta-d", "0.7", "--nu", "1e-3", "--loss-db", "0,10"),
+         ScanConfig)
+        for protocol in PROTOCOLS
+    ],
+    ids=["analytic-verify", "mc-verify"] + [f"{protocol}-scan" for protocol in PROTOCOLS],
+)
+def test_each_report_config_reads_back(capsys, tmp_path, argv, cls):
+    # The config a report echoes, a verify report's mode included, is one its
+    # class reads, and reading it loses nothing.
+    code, _, _ = run_cli(capsys, *argv, "--out", "r")
+    assert code == 0
+    written = json.loads((tmp_path / "r.json").read_text())["config"]
+    assert json.loads(_json_text(cls.from_json_dict(written).to_json_dict())) == written
+
+
 def test_verify_monte_carlo_mode(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,
@@ -720,8 +744,27 @@ def test_a_malformed_detector_spec_exits_2_naming_its_index_and_key(
             {"rate_params": {"colour": 1}},
             "malformed scan config: rate_params has unknown key 'colour'",
         ),
+        # A receiver that contradicts its protocol: the key's own detector is missing.
+        (
+            "scan",
+            {"protocol": "hybrid", "loss_db": [0, 10]},
+            "the hybrid protocol needs a homodyne detector, which measures its key",
+        ),
+        (
+            "scan",
+            {
+                "protocol": "heterodyne",
+                "detectors": [{"kind": "homodyne", "eta_d": 0.7, "nbar": 0.01}],
+                "loss_db": [0, 10],
+            },
+            "the heterodyne protocol's receiver has no homodyne detector; "
+            "its kinds are ('heterodyne',)",
+        ),
     ],
-    ids=["verify-unknown-key", "scan-unknown-key", "rate-params-unknown-key"],
+    ids=[
+        "verify-unknown-key", "scan-unknown-key", "rate-params-unknown-key",
+        "hybrid-without-homodyne", "heterodyne-with-homodyne",
+    ],
 )
 def test_a_config_key_fault_exits_2_naming_its_place_and_key(
     capsys, tmp_path, command, extra, line
@@ -1241,6 +1284,16 @@ def test_no_module_but_channel_names_a_scenario():
                 assert not names & {"IDEAL", "TRUSTED", "UNTRUSTED"}, (path.name, node.lineno)
 
 
+def test_cli_names_no_protocol_and_no_detector_kind():
+    # Statically: each protocol's receiver is one PROTOCOL_TABLE entry, so the
+    # CLI spells no protocol or detector kind; its flags' choices come from the tables.
+    names = set(PROTOCOLS) | set(KINDS)
+    path = Path(cvtrust.__file__).parent / "cli.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Constant):
+            assert node.value not in names, node.lineno
+
+
 def _runs_on_import(node):
     """node and every node under it that runs when its module is imported:
     all but function bodies and `if TYPE_CHECKING:` blocks."""
@@ -1500,7 +1553,7 @@ def _verify_case(draw):
         "mc_samples": 10_000,
         "mode": draw(st.sampled_from(["analytic", "mc"])),
     }
-    keys = tuple(f.name for f in fields(SweepConfig)) + ("mode",)
+    keys = tuple(f.name for f in fields(SweepConfig))
     argv = ["verify", "--config=@config"]
     if draw(st.booleans()):  # one spec
         argv += [f"--eta-d={draw(_NUM)}", f"--nu={draw(_NUM)}"]

@@ -192,6 +192,16 @@ def test_sweep_config_json_roundtrip():
     assert back.sabotage == "scale-r"
 
 
+def test_sweep_config_mode_is_a_field_that_names_a_sweep():
+    assert small_config().mode == "analytic"
+    assert SweepConfig.from_json_dict(small_config(mode="mc").to_json_dict()).mode == "mc"
+    for mode in ("quantum", [], None):
+        with pytest.raises(ValueError, match=r"^mode must be 'analytic' or 'mc', got "):
+            small_config(mode=mode)
+    # A sweep called directly echoes its own mode, whatever the config's.
+    assert analytic_sweep(small_config(mode="mc")).to_json_dict()["config"]["mode"] == "analytic"
+
+
 def test_sweep_config_rejects_unknown_keys_and_schema():
     data = small_config().to_json_dict()
     data["extra"] = 1

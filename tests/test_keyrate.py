@@ -343,6 +343,31 @@ def test_rate_kind_per_protocol():
     assert hybrid.rate_kind == HOMODYNE
 
 
+def test_scan_config_refuses_detectors_that_contradict_its_protocol():
+    # Each detector has one of the protocol's receiver kinds, and one has the
+    # kind the rate models: a trusted rate reduced by another kind's eta_e
+    # (heterodyne's eta_d / (1 + nu) for a homodyne key) would be too high.
+    het = {"kind": HETERODYNE, "eta_d": 0.7, "nbar": 0.01}
+    hom = {**het, "kind": HOMODYNE}
+    refused = [
+        ("hybrid", het, "^the hybrid protocol needs a homodyne detector, which measures its key$"),
+        (
+            "heterodyne", hom,
+            r"^the heterodyne protocol's receiver has no homodyne detector; "
+            r"its kinds are \('heterodyne',\)$",
+        ),
+    ]
+    for protocol, detector, message in refused:
+        data = {"protocol": protocol, "detectors": [detector], "loss_db": [0, 10], "xi0": 0.0}
+        with pytest.raises(ValueError, match=message):
+            ScanConfig.from_json_dict(data)
+        with pytest.raises(ValueError, match=message):
+            het_scan_config(protocol=protocol, detectors=(DetectorSpec(**detector),))
+    het_scan_config()
+    het_scan_config(detectors=(HOM_SPEC, HET_SPEC), protocol="hybrid")
+    het_scan_config(detectors=(HOM_SPEC,), protocol="hybrid")
+
+
 def test_scan_config_json_roundtrip():
     config = het_scan_config(rate_params=RateParams(5.0, 0.9))
     data = config.to_json_dict()
