@@ -7,8 +7,9 @@ sqrt(eta) beta and per-quadrature variance (1 + eta xi0) / 4.
 
 Effective channel parameters (t_eff, xi_eff) summarize what a key-rate
 evaluator sees in each detector-accounting scenario, a SCENARIO_TABLE entry
-that picks the detector and folds it to (gain, noise): t_eff = eta gain and
-xi_eff = t_eff xi0 + noise, so homodyne on a coherent carrier sees (1 + xi_eff) / 4.
+that picks one of the receiver's RescalePlans and folds it to (gain, noise):
+t_eff = eta gain and xi_eff = t_eff xi0 + noise, so homodyne on a coherent
+carrier sees (1 + xi_eff) / 4.
 """
 
 from __future__ import annotations
@@ -16,33 +17,31 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .detectors import DetectorSpec
-from .rescaling import rescale_plan
+if TYPE_CHECKING:
+    from .rescaling import RescalePlan
 
 IDEAL = "ideal"
 TRUSTED = "trusted"
 UNTRUSTED = "untrusted"
 
 
-def _shared_detector(detectors: tuple[DetectorSpec, ...]) -> DetectorSpec:
-    """The first detector, once every detector shares its (eta_d, nbar)."""
-    if len({(d.eta_d, d.nbar) for d in detectors}) > 1:
+def _shared_detector(plans: tuple[RescalePlan, ...]) -> RescalePlan:
+    """The first plan, once every plan's detector shares its (eta_d, nbar)."""
+    if len({(p.eta_d, p.nbar) for p in plans}) > 1:
         raise ValueError(
             "the untrusted scenario needs all detectors to share "
             "(eta_d, nbar); got mixed parameters"
         )
-    return detectors[0]
+    return plans[0]
 
 
-# scenario: (pick(detectors) -> spec | None, fold(spec) -> (gain, noise)); gain 1, noise 0 exact.
+# scenario: (pick(plans) -> plan | None, fold(plan) -> (gain, noise)); gain 1, noise 0 exact.
 SCENARIO_TABLE = {
-    IDEAL: (lambda detectors: None, lambda spec: (1.0, 0.0)),
-    TRUSTED: (
-        lambda detectors: min(detectors, key=lambda d: rescale_plan(d).eta_e),
-        lambda spec: (rescale_plan(spec).eta_e, 0.0),
-    ),
-    UNTRUSTED: (_shared_detector, lambda spec: (spec.eta_d, 2.0 * spec.noise_product)),
+    IDEAL: (lambda plans: None, lambda plan: (1.0, 0.0)),
+    TRUSTED: (lambda plans: min(plans, key=lambda p: p.eta_e), lambda plan: (plan.eta_e, 0.0)),
+    UNTRUSTED: (_shared_detector, lambda plan: (plan.eta_d, 2.0 * plan.nu)),
 }
 SCENARIOS = tuple(SCENARIO_TABLE)
 
@@ -76,7 +75,7 @@ class ChannelSpec:
 
 def scenario_params(
     channel: ChannelSpec,
-    spec: DetectorSpec | None = None,
+    plan: RescalePlan | None = None,
     scenario: str = IDEAL,
 ) -> tuple[float | tuple[float, ...], float | tuple[float, ...]]:
     """Fold channel and detector into effective rate-evaluator parameters.
@@ -84,17 +83,17 @@ def scenario_params(
     ideal: the detector is perfect, (t, xi) = (eta, eta xi0).
 
     trusted: detector noise is calibrated away by the loss-then-rescale
-    reduction; the reduced efficiency joins the transmittance,
+    reduction; the plan's reduced efficiency joins the transmittance,
     (t, xi) = (eta eta_e, eta eta_e xi0).
 
     untrusted: detector loss and noise are attributed to the channel,
-    (t, xi) = (eta eta_d, eta eta_d xi0 + 2 nbar (1 - eta_d)).
+    (t, xi) = (eta eta_d, eta eta_d xi0 + 2 nu), nu = nbar (1 - eta_d).
 
     Args:
         channel: The transmission line; a tuple eta gives tuples of the
             same length, element for element equal to scalar calls.
-        spec: The detector; required for the trusted and untrusted
-            scenarios.
+        plan: The detector's RescalePlan, which the fold reads, not
+            rebuilds; required for the trusted and untrusted scenarios.
         scenario: One of "ideal", "trusted", "untrusted".
 
     Returns:
@@ -103,9 +102,9 @@ def scenario_params(
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    if spec is None and scenario != IDEAL:
-        raise ValueError(f"the {scenario} scenario requires a detector spec")
-    gain, noise = SCENARIO_TABLE[scenario][1](spec)
+    if plan is None and scenario != IDEAL:
+        raise ValueError(f"the {scenario} scenario requires a detector's rescale plan")
+    gain, noise = SCENARIO_TABLE[scenario][1](plan)
     # xi never falls as t rises, rounding included: the largest eta bounds all.
     top = channel.eta if isinstance(channel.eta, float) else max(channel.eta)
     if not math.isfinite(top * gain * channel.xi0 + noise):

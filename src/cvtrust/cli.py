@@ -287,6 +287,8 @@ def _scan_config_from_args(args: argparse.Namespace) -> ScanConfig:
         config_data["loss_db"] = list(_parse_loss_grid(args.loss_db))
     elif "loss_db" not in config_data:
         config_data["loss_db"] = list(_parse_loss_grid("0:40:1"))
+    elif isinstance(losses := config_data["loss_db"], list) and len(losses) > MAX_GRID_POINTS:
+        raise ValueError(f"loss_db has {len(losses)} points, more than {MAX_GRID_POINTS}")
     if args.xi0 is not None:
         config_data["xi0"] = args.xi0
     elif "xi0" not in config_data:

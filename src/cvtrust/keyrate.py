@@ -1,12 +1,12 @@
 """Key-rate scans over loss with pluggable rate evaluators.
 
-The harness walks a grid of channel losses, folds the detector into the
-channel under each accounting scenario, and hands the effective
-(t_eff, xi_eff) pair to a rate function.  Rate functions are pluggable and
-looked up by name; the shipped default evaluates the textbook asymptotic
-key rate of a Gaussian-modulated coherent-state protocol with reverse
-reconciliation against collective attacks.  Each protocol's rate kind and
-receiver are one PROTOCOL_TABLE entry, which ScanConfig checks the
+The harness walks a grid of channel losses, folds a detector's one rescale
+plan into the channel under each accounting scenario, and hands the
+effective (t_eff, xi_eff) pair to a rate function.  Rate functions are
+pluggable and looked up by name; the shipped default evaluates the textbook
+asymptotic key rate of a Gaussian-modulated coherent-state protocol with
+reverse reconciliation against collective attacks.  Each protocol's rate
+kind and receiver are one PROTOCOL_TABLE entry, which ScanConfig checks the
 detectors against.
 """
 
@@ -208,10 +208,10 @@ class ScanConfig:
         rate_name: Registry name of the rate function.
         rate_params: Auxiliary parameters passed to the rate function.
 
-    The validated config also holds transmittances, each loss as the power
-    transmittance that loss_db_to_transmittance gives, and scenario_detectors,
-    each scenario's SCENARIO_TABLE pick.  They are derived, not fields, so the
-    config's JSON does not carry them.
+    The validated config also holds transmittances (loss_db_to_transmittance
+    of each loss), harmonization (harmonize of the detectors, the one rescale
+    plan of each) and scenario_detectors (each scenario's SCENARIO_TABLE pick
+    among those plans).  Derived, not fields, they are not in the JSON.
     """
 
     loss_db: tuple[float, ...]
@@ -270,7 +270,9 @@ class ScanConfig:
         if not isinstance(self.rate_name, str):
             raise ValueError(f"rate_name must be a string, got {self.rate_name!r}")
         get_rate_function(self.rate_name)
-        picks = {s: SCENARIO_TABLE[s][0](self.detectors) for s in self.scenarios}
+        object.__setattr__(self, "harmonization", harmonize(self.detectors))
+        plans = tuple(a.base_plan for a in self.harmonization.adjustments)
+        picks = {s: SCENARIO_TABLE[s][0](plans) for s in self.scenarios}
         object.__setattr__(self, "scenario_detectors", picks)
 
     @property
@@ -389,12 +391,11 @@ def run_scan(config: ScanConfig) -> ScanTable:
     """Evaluate the configured scenarios over the loss grid.
 
     Each scenario's effective parameters come from one scenario_params call
-    over all losses, at the detector config.scenario_detectors holds for it.
-    A rate-function failure at one point is recorded in that row's status
-    and the scan continues.  Rows are sorted by (scenario, loss_db).
+    over all losses, at the plan config.scenario_detectors holds for it.  A
+    rate-function failure at one point is recorded in that row's status and
+    the scan continues.  Rows are sorted by (scenario, loss_db).
     """
     rate_fn = get_rate_function(config.rate_name)
-    eta_e_min = harmonize(config.detectors).eta_e_min
     channel = ChannelSpec(config.transmittances, config.xi0)
     kind, params = config.rate_kind, config.rate_params
     rows = []
@@ -409,4 +410,4 @@ def run_scan(config: ScanConfig) -> ScanTable:
             except Exception as exc:  # keep scanning past bad points
                 rate, status = math.nan, f"error: {exc}"
             rows.append(ScanRow(loss_db, scenario, t_eff, xi_eff, rate, status))
-    return ScanTable(rows=tuple(rows), config=config, eta_e_min=eta_e_min)
+    return ScanTable(rows=tuple(rows), config=config, eta_e_min=config.harmonization.eta_e_min)

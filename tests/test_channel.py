@@ -59,7 +59,7 @@ def test_lossless_noiseless_channel_is_identity(kind):
     spec = DetectorSpec(kind, 1.0, nbar=0.0)
     state = coherent_state(2j)
     for scenario in SCENARIOS:
-        t_eff, xi_eff = scenario_params(channel, spec, scenario)
+        t_eff, xi_eff = scenario_params(channel, rescale_plan(spec), scenario)
         assert (t_eff, xi_eff) == (1.0, 0.0)
         out = channel_output(state, t_eff, xi_eff)
         assert np.array_equal(out.mean, state.mean)
@@ -80,7 +80,7 @@ def test_channel_keeps_states_physical(eta, xi0, eta_d, nbar, kind, input_nbar):
     thermal = GaussianState(np.zeros(2), (2 * input_nbar + 1) * VACUUM_VARIANCE)
     spec = DetectorSpec(kind, eta_d, nbar=nbar)
     for scenario in SCENARIOS:
-        t_eff, xi_eff = scenario_params(ChannelSpec(eta, xi0), spec, scenario)
+        t_eff, xi_eff = scenario_params(ChannelSpec(eta, xi0), rescale_plan(spec), scenario)
         assert xi_eff >= 0
         out = channel_output(thermal, t_eff, xi_eff)
         assert out.variance >= VACUUM_VARIANCE - 1e-12
@@ -96,7 +96,7 @@ def test_scenario_params_ideal():
 def test_scenario_params_trusted_equals_ideal_at_reduced_transmittance():
     channel = ChannelSpec(0.8, 2e-3)
     spec = DetectorSpec.from_noise_product(HOMODYNE, 0.7, two_nu=1e-3)
-    trusted = scenario_params(channel, spec, TRUSTED)
+    trusted = scenario_params(channel, rescale_plan(spec), TRUSTED)
     eta_e = rescale_plan(spec).eta_e
     ideal_reduced = scenario_params(ChannelSpec(channel.eta * eta_e, channel.xi0))
     assert trusted == ideal_reduced
@@ -105,7 +105,7 @@ def test_scenario_params_trusted_equals_ideal_at_reduced_transmittance():
 def test_scenario_params_untrusted_absorbs_detector_noise():
     channel = ChannelSpec(0.8, 1e-3)
     spec = DetectorSpec(HETERODYNE, 0.7, nbar=0.8)
-    t_eff, xi_eff = scenario_params(channel, spec, UNTRUSTED)
+    t_eff, xi_eff = scenario_params(channel, rescale_plan(spec), UNTRUSTED)
     assert np.isclose(t_eff, 0.56, rtol=1e-15)
     # t_eff * xi0 + 2 nbar (1 - eta_d)
     assert np.isclose(xi_eff, 0.56e-3 + 2 * 0.8 * 0.3, rtol=1e-14)
@@ -125,7 +125,7 @@ def test_scenario_params_validation():
     for eta in (1.0, (0.5, 1.0, 0.25)):
         for channel, spec in ((ChannelSpec(eta), noisy), (ChannelSpec(eta, 1.7e308), loud)):
             with pytest.raises(ValueError, match="^the untrusted scenario's excess noise xi_eff"):
-                scenario_params(channel, spec, UNTRUSTED)
+                scenario_params(channel, rescale_plan(spec), UNTRUSTED)
 
 
 def test_scenario_constants():
@@ -144,8 +144,8 @@ def test_scenario_params_properties(eta, xi0, eta_d, nbar, kind):
     channel = ChannelSpec(eta, xi0)
     spec = DetectorSpec(kind, eta_d, nbar=nbar)
     ideal_t, _ = scenario_params(channel)
-    trusted_t, trusted_xi = scenario_params(channel, spec, TRUSTED)
-    untrusted_t, untrusted_xi = scenario_params(channel, spec, UNTRUSTED)
+    trusted_t, trusted_xi = scenario_params(channel, rescale_plan(spec), TRUSTED)
+    untrusted_t, untrusted_xi = scenario_params(channel, rescale_plan(spec), UNTRUSTED)
     # trusted folds only loss into the transmittance, never extra noise
     assert trusted_t <= ideal_t
     assert trusted_xi == trusted_t * xi0
@@ -171,6 +171,6 @@ def test_scenario_params_properties(eta, xi0, eta_d, nbar, kind):
 def test_scenario_params_arrays_equal_scalar_calls(etas, xi0, eta_d, nbar, kind):
     spec = DetectorSpec(kind, eta_d, nbar=nbar)
     for scenario in SCENARIOS:
-        t_effs, xi_effs = scenario_params(ChannelSpec(tuple(etas), xi0), spec, scenario)
-        scalar = [scenario_params(ChannelSpec(eta, xi0), spec, scenario) for eta in etas]
+        t_effs, xi_effs = scenario_params(ChannelSpec(tuple(etas), xi0), rescale_plan(spec), scenario)
+        scalar = [scenario_params(ChannelSpec(eta, xi0), rescale_plan(spec), scenario) for eta in etas]
         assert list(zip(t_effs, xi_effs)) == scalar

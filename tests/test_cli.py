@@ -642,6 +642,23 @@ def test_verify_rejects_a_config_of_more_than_a_million_cells(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_scan_rejects_a_config_of_more_than_a_million_losses(capsys, tmp_path):
+    # 0 to 1000 dB in 1e-3 dB steps, the grid --loss-db 0:1000:0.001 refuses.
+    data = {
+        "detectors": [{"kind": "heterodyne", "eta_d": 0.7, "nbar": 0.01}],
+        "loss_db": [k * 1e-3 for k in range(10**6 + 1)],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "scan", "--config", str(path), "--out", "bad")
+    assert code == 2 and out == ""
+    assert err == "error: loss_db has 1000001 points, more than 1000000\n"
+    assert list(tmp_path.iterdir()) == [path]
+    # --loss-db replaces the file's grid, so it is the flag's grid that is held to the cap.
+    code, out, err = run_cli(capsys, "scan", "--config", str(path), "--loss-db", "0,3", "--out", "ok")
+    assert code == 0 and err == ""
+
+
 _VERIFY_BASE = {
     "alphas": [[1.0, 0.0]],
     "specs": [{"kind": "homodyne", "eta_d": 0.7, "nbar": 0.01}],
@@ -1282,6 +1299,33 @@ def test_no_module_but_channel_names_a_scenario():
             elif isinstance(node, ast.ImportFrom):
                 names = {a.name for a in node.names}
                 assert not names & {"IDEAL", "TRUSTED", "UNTRUSTED"}, (path.name, node.lineno)
+
+
+def test_channel_reduces_no_detector():
+    # Statically: the scenario table folds the rescale plans it is handed, so
+    # channel.py takes nothing from cvtrust.rescaling but, in an
+    # `if TYPE_CHECKING:` block, the RescalePlan type, and names no reduction,
+    # function and lambda bodies included (which _runs_on_import skips).
+    path = Path(cvtrust.__file__).parent / "channel.py"
+    tree = ast.parse(path.read_text(), str(path))
+    typing_only = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+        for sub in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            assert module not in (".rescaling", "cvtrust.rescaling"), node.lineno
+            assert "rescaling" not in {a.name for a in node.names}, node.lineno
+        elif isinstance(node, ast.Import):
+            assert "cvtrust.rescaling" not in {a.name for a in node.names}, node.lineno
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            assert name not in ("rescale_plan", "harmonize", "rescaling"), node.lineno
 
 
 def test_cli_names_no_protocol_and_no_detector_kind():

@@ -6,7 +6,7 @@ import math
 import platform
 import random
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -305,8 +305,9 @@ def test_scenario_table_picks_and_folds_a_hybrid_pair():
     config = het_scan_config(detectors=(HET_SPEC, HOM_SPEC), protocol="hybrid")
     assert rescale_plan(HET_SPEC).eta_e == 0.6996501749125438
     assert rescale_plan(HOM_SPEC).eta_e == 0.6993006993006994
-    picks = {IDEAL: None, TRUSTED: HOM_SPEC, UNTRUSTED: HET_SPEC}
-    assert {s: pick(config.detectors) for s, (pick, _) in SCENARIO_TABLE.items()} == picks
+    picks = {IDEAL: None, TRUSTED: rescale_plan(HOM_SPEC), UNTRUSTED: rescale_plan(HET_SPEC)}
+    plans = tuple(map(rescale_plan, config.detectors))
+    assert {s: pick(plans) for s, (pick, _) in SCENARIO_TABLE.items()} == picks
     assert config.scenario_detectors == picks
     assert "scenario_detectors" not in config.to_json_dict()
     # Each fold's (gain, noise), exact to the bit, and scenario_params folds it
@@ -323,7 +324,8 @@ def test_scenario_table_picks_and_folds_a_hybrid_pair():
     tied = DetectorSpec.from_noise_product(HETERODYNE, 0.7, two_nu=2e-3)
     pair = (tied, HOM_SPEC)
     assert rescale_plan(tied).eta_e == harmonize(pair).eta_e_min == rescale_plan(HOM_SPEC).eta_e
-    assert SCENARIO_TABLE[TRUSTED][0](pair) is tied
+    pair_plans = tuple(map(rescale_plan, pair))
+    assert SCENARIO_TABLE[TRUSTED][0](pair_plans) is pair_plans[0]
     # The untrusted pick refuses mixed (eta_d, nbar), in the words ScanConfig used.
     mixed = (HET_SPEC, DetectorSpec(HOMODYNE, 0.8, nbar=HET_SPEC.nbar))
     message = (
@@ -331,9 +333,48 @@ def test_scenario_table_picks_and_folds_a_hybrid_pair():
         r"got mixed parameters$"
     )
     with pytest.raises(ValueError, match=message):
-        SCENARIO_TABLE[UNTRUSTED][0](mixed)
+        SCENARIO_TABLE[UNTRUSTED][0](tuple(map(rescale_plan, mixed)))
     with pytest.raises(ValueError, match=message):
         het_scan_config(detectors=mixed, protocol="hybrid")
+
+
+def test_each_scan_detector_is_reduced_once(monkeypatch):
+    # Every binding of rescale_plan in the package counts, so a module that
+    # imported it by name is seen too.
+    calls = []
+    original = rescale_plan
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "cvtrust"]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    base = {"loss_db": [0.0, 5.0, 10.0], "xi0": 0.01}
+    receivers = {"heterodyne": [HET_SPEC], "hybrid": [HOM_SPEC, HET_SPEC]}
+    for protocol, detectors in receivers.items():
+        calls.clear()
+        data = {**base, "protocol": protocol, "detectors": [asdict(d) for d in detectors]}
+        config = ScanConfig.from_json_dict(data)
+        table = run_scan(config)
+        assert calls == detectors
+        assert "harmonization" not in config.to_json_dict()
+        plans = tuple(a.base_plan for a in config.harmonization.adjustments)
+        assert plans == tuple(map(original, detectors))
+        assert table.eta_e_min == min(p.eta_e for p in plans)
+        # The scenarios' picks are the harmonization's own plans, not rebuilt ones.
+        assert any(p is config.scenario_detectors[TRUSTED] for p in plans)
+
+
+def test_scan_config_refuses_a_detector_it_cannot_reduce_in_any_scenario():
+    # r^2 = 1 + 2 nu overflows: ScanConfig refuses the detector even when no
+    # configured scenario reads its plan, before any scan runs.
+    noisy = DetectorSpec(HOMODYNE, 0.01, nbar=1.79e308)
+    message = r"^noise product nu = 1.7720999999999999e\+308 makes the homodyne r\^2 overflow$"
+    with pytest.raises(ValueError, match=message):
+        het_scan_config(detectors=(noisy,), scenarios=(IDEAL,), protocol="hybrid")
 
 
 def test_rate_kind_per_protocol():
@@ -442,7 +483,7 @@ def test_run_scan_hybrid_trusted_rows_use_the_harmonized_minimum_detector():
         trusted = [(r.t_eff, r.xi_eff) for r in table.rows if r.scenario == TRUSTED]
         assert trusted == [
             scenario_params(
-                ChannelSpec(loss_db_to_transmittance(x), config.xi0), chosen, TRUSTED
+                ChannelSpec(loss_db_to_transmittance(x), config.xi0), rescale_plan(chosen), TRUSTED
             )
             for x in config.loss_db
         ]
