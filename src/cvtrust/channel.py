@@ -90,27 +90,24 @@ def scenario_params(
     (t, xi) = (eta eta_d, eta eta_d xi0 + 2 nu), nu = nbar (1 - eta_d).
 
     Args:
-        channel: The transmission line; a tuple eta gives tuples of the
-            same length, element for element equal to scalar calls.
+        channel: The transmission line; a float eta is folded as a 1-tuple
+            and unwrapped, so a tuple eta's results equal scalar calls.
         plan: The detector's RescalePlan, which the fold reads, not
             rebuilds; required for the trusted and untrusted scenarios.
         scenario: One of "ideal", "trusted", "untrusted".
 
     Returns:
         (t_eff, xi_eff): effective transmittance and effective excess
-        noise in additive outcome-variance units.
+        noise in additive outcome-variance units; ValueError if one overflows.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if plan is None and scenario != IDEAL:
         raise ValueError(f"the {scenario} scenario requires a detector's rescale plan")
     gain, noise = SCENARIO_TABLE[scenario][1](plan)
-    # xi never falls as t rises, rounding included: the largest eta bounds all.
-    top = channel.eta if isinstance(channel.eta, float) else max(channel.eta)
-    if not math.isfinite(top * gain * channel.xi0 + noise):
+    scalar = isinstance(channel.eta, float)
+    t_effs = tuple(eta * gain for eta in ((channel.eta,) if scalar else channel.eta))
+    xi_effs = tuple(t * channel.xi0 + noise for t in t_effs)
+    if not math.isfinite(max(xi_effs)):
         raise ValueError(f"the {scenario} scenario's excess noise xi_eff overflows")
-    if isinstance(channel.eta, float):
-        t_eff = channel.eta * gain
-        return t_eff, t_eff * channel.xi0 + noise
-    t_effs = tuple(eta * gain for eta in channel.eta)
-    return t_effs, tuple(t * channel.xi0 + noise for t in t_effs)
+    return (t_effs[0], xi_effs[0]) if scalar else (t_effs, xi_effs)

@@ -223,9 +223,8 @@ _JSON_CELL = json_object_template(
 
 @dataclass(frozen=True, eq=False)
 class EquivalenceReport:
-    """Result of one sweep over the full grid; its cells lie in grid order."""
+    """One sweep: the config swept, its mode the sweep's, and the cells in grid order."""
 
-    mode: str
     config: SweepConfig
     cells: tuple[CellResult, ...]
 
@@ -256,8 +255,8 @@ class EquivalenceReport:
         pvals = [c.ks_pvalue for c in self.cells if c.ks_pvalue is not None]
         return {
             "schema": "cvtrust/verify-report/1",
-            "mode": self.mode,
-            "config": {**self.config.to_json_dict(), "mode": self.mode},
+            "mode": self.config.mode,
+            "config": self.config.to_json_dict(),
             "summary": {
                 "cells": len(self.cells),
                 "passed": self.passed,
@@ -686,11 +685,11 @@ def _tv_floor(xy: np.ndarray, pairs: list[ModelPair]) -> float:
 def analytic_sweep(config: SweepConfig) -> EquivalenceReport:
     """Compare each pair's closed-form densities over the grid.
 
-    A cell passes when the relative mean gap, the relative variance gap
-    and the exact total-variation distance (report field tv_estimate)
-    fall within the configured tolerances.  Pairs run one at a time, over
-    all amplitudes as arrays.  A tv_tol below the grid's TV floor, the TV
-    that rounding alone can give a faithful cell, raises ValueError.
+    A cell passes when its relative mean and variance gaps and its exact
+    total-variation distance (report field tv_estimate) are within their
+    tolerances.  Pairs run one at a time, over all amplitudes as arrays.  A
+    tv_tol below the grid's TV floor, the TV that rounding alone can give a
+    faithful cell, raises ValueError.  The report's config has mode "analytic".
     """
     import numpy as np
 
@@ -708,7 +707,7 @@ def analytic_sweep(config: SweepConfig) -> EquivalenceReport:
         passed = (np.maximum(mean_gaps, var_gap) <= config.param_tol) & (tvs <= config.tv_tol)
         cells += map(CellResult, config.alphas, repeat(pair.spec), mean_gaps.tolist(),
                      repeat(var_gap), tvs.tolist(), repeat(None), repeat(None), passed.tolist())
-    return EquivalenceReport("analytic", config, tuple(cells))
+    return EquivalenceReport(replace(config, mode="analytic"), tuple(cells))
 
 
 def _mc_workers(n_cells: int) -> int:
@@ -774,8 +773,8 @@ def monte_carlo_sweep(config: SweepConfig) -> EquivalenceReport:
 
     Cells run in a pool of forked processes, one per usable CPU, and
     come back in grid order; each cell draws from its own substreams, so
-    the report is the same as a run in one process.  On Linux the workers
-    end with the process that runs the sweep, even when it is killed.
+    the report, whose config has mode "mc", is that of a run in one process.
+    On Linux the workers end with the sweep's process, even when it is killed.
     """
     if config.mc_samples < 10**4:
         raise ValueError("Monte Carlo sweeps require mc_samples >= 10^4")
@@ -804,7 +803,7 @@ def monte_carlo_sweep(config: SweepConfig) -> EquivalenceReport:
             cells = list(pool.map(run_cell, todo, chunksize=chunk))
     rejected = holm_rejections([c.ks_pvalue for c in cells], config.ks_alpha)
     cells = [c._replace(passed=False) if i in rejected else c for i, c in enumerate(cells)]
-    return EquivalenceReport("mc", config, tuple(cells))
+    return EquivalenceReport(replace(config, mode="mc"), tuple(cells))
 
 
 # Each verify mode's sweep.

@@ -316,11 +316,15 @@ _JSON_ROW = json_object_template(ScanRow._fields, "\n    ")
 
 @dataclass(frozen=True, eq=False)
 class ScanTable:
-    """All rows of a scan plus the harmonized detector summary."""
+    """A scan's rows and its config, from which every other report fact is read."""
 
     rows: tuple[ScanRow, ...]
     config: ScanConfig
-    eta_e_min: float
+
+    @property
+    def eta_e_min(self) -> float:
+        """The harmonized reduced efficiency of the config's detectors."""
+        return self.config.harmonization.eta_e_min
 
     def _json_head(self) -> dict:
         """The report's JSON object without its "rows"."""
@@ -390,10 +394,10 @@ def loss_db_to_transmittance(loss_db: float) -> float:
 def run_scan(config: ScanConfig) -> ScanTable:
     """Evaluate the configured scenarios over the loss grid.
 
-    Each scenario's effective parameters come from one scenario_params call
-    over all losses, at the plan config.scenario_detectors holds for it.  A
-    rate-function failure at one point is recorded in that row's status and
-    the scan continues.  Rows are sorted by (scenario, loss_db).
+    Each scenario's (t_eff, xi_eff) over all losses come from one
+    scenario_params call at its config.scenario_detectors plan.  A failed
+    rate is recorded in its row's status and the scan goes on.  The table
+    holds the config and the rows, sorted by (scenario, loss_db).
     """
     rate_fn = get_rate_function(config.rate_name)
     channel = ChannelSpec(config.transmittances, config.xi0)
@@ -410,4 +414,4 @@ def run_scan(config: ScanConfig) -> ScanTable:
             except Exception as exc:  # keep scanning past bad points
                 rate, status = math.nan, f"error: {exc}"
             rows.append(ScanRow(loss_db, scenario, t_eff, xi_eff, rate, status))
-    return ScanTable(rows=tuple(rows), config=config, eta_e_min=config.harmonization.eta_e_min)
+    return ScanTable(rows=tuple(rows), config=config)

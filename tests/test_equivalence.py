@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +202,20 @@ def test_sweep_config_mode_is_a_field_that_names_a_sweep():
     assert analytic_sweep(small_config(mode="mc")).to_json_dict()["config"]["mode"] == "analytic"
 
 
+@pytest.mark.parametrize(
+    "sweep, mode, other", [(analytic_sweep, "analytic", "mc"), (monte_carlo_sweep, "mc", "analytic")]
+)
+def test_a_report_is_its_config_at_the_sweeps_mode_and_its_cells(sweep, mode, other):
+    config = small_config(mode=other, mc_samples=10**4)
+    report = sweep(config)
+    assert [f.name for f in fields(report)] == ["config", "cells"]
+    assert report.config.mode == mode
+    assert report.config.to_json_dict() == {**config.to_json_dict(), "mode": mode}
+    data = report.to_json_dict()
+    assert data["mode"] == mode
+    assert data["config"] == report.config.to_json_dict()
+
+
 def test_sweep_config_rejects_unknown_keys_and_schema():
     data = small_config().to_json_dict()
     data["extra"] = 1
@@ -216,7 +230,7 @@ def test_sweep_config_rejects_unknown_keys_and_schema():
 def test_analytic_sweep_full_grid_passes():
     report = analytic_sweep(default_sweep_config())
     assert report.passed
-    assert report.mode == "analytic"
+    assert report.config.mode == "analytic"
     assert len(report.cells) == 1024
     assert report.worst_mean_gap <= 1e-14
     assert report.worst_var_gap <= 1e-14
@@ -317,8 +331,8 @@ def test_one_pass_reports_equal_the_json_writer_and_csv_writer_forms(sweep, conf
     json_report, csv_report = report_texts(report)
     assert json_report == json_text(report.to_json_dict())
     assert csv_report == report.to_csv_text() == _csv_writer_text(report)
-    assert report.to_json_dict()["config"]["mode"] == report.mode
-    if report.mode == "analytic":
+    assert report.to_json_dict()["config"]["mode"] == report.config.mode
+    if report.config.mode == "analytic":
         # The default grid has both signs of zero among its alpha parts.
         parts = [x for a in config.alphas for x in (a.real, a.imag)]
         assert {math.copysign(1.0, x) for x in parts if x == 0.0} == {1.0, -1.0}
@@ -850,7 +864,7 @@ def test_monte_carlo_sweep_requires_enough_samples():
 def test_monte_carlo_sweep_passes_on_faithful_models():
     report = monte_carlo_sweep(reduced_mc_config(seed=0, mc_samples=10**5))
     assert report.passed
-    assert report.mode == "mc"
+    assert report.config.mode == "mc"
     assert report.n_rejections == 0
     stats = [c.ks_statistic for c in report.cells]
     assert all(s is not None for s in stats)

@@ -6,7 +6,7 @@ import math
 import platform
 import random
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from cvtrust.keyrate import (
     RATE_FUNCTIONS,
     RateParams,
     ScanConfig,
+    ScanTable,
     get_rate_function,
     loss_db_to_transmittance,
     reference_rate,
@@ -581,6 +582,20 @@ def test_one_pass_reports_refuse_non_finite_values_as_json_text_does(field, valu
         json_text(table.to_json_dict())
     with pytest.raises(ValueError, match="not JSON compliant"):
         report_texts(table)
+
+
+def test_a_scan_table_is_its_rows_and_config_and_reads_eta_e_min_from_the_config():
+    config = ScanConfig(
+        loss_db=(0.0, 10.0), xi0=0.01, detectors=(HOM_SPEC, HET_SPEC), protocol="hybrid"
+    )
+    table = run_scan(config)
+    assert [f.name for f in fields(ScanTable)] == ["rows", "config"]
+    by_hand = ScanTable(rows=table.rows, config=config)
+    assert by_hand.eta_e_min == config.harmonization.eta_e_min == 0.6993006993006994
+    assert by_hand.to_json_dict()["metadata"]["eta_e_min"] == config.harmonization.eta_e_min
+    assert report_texts(by_hand) == report_texts(table)
+    with pytest.raises(TypeError):
+        ScanTable(rows=table.rows, config=config, eta_e_min=0.5)
 
 
 def test_scan_table_serialization():
